@@ -118,47 +118,6 @@ func BenchmarkFig10ProcessingTime(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineABFig10 is the enumeration-level flow-engine A/B on the
-// Fig. 10 datasets: the same runs with the engine forced to Dinic, forced
-// to LocalVC, and left on auto. All engines produce identical results, so
-// ns/op differences are pure engine cost. k = 20 sits outside the
-// FlowAuto window (auto resolves to Dinic — the two must track each
-// other); k = 5 sits inside it on large components (auto resolves to
-// LocalVC). The localvc-fallback-frac metric reports what fraction of
-// local attempts fell back to Dinic.
-func BenchmarkEngineABFig10(b *testing.B) {
-	engines := []struct {
-		name string
-		e    kvcc.FlowEngine
-	}{
-		{"dinic", kvcc.FlowDinic},
-		{"localvc", kvcc.FlowLocalVC},
-		{"auto", kvcc.FlowAuto},
-	}
-	for _, name := range []string{"Stanford", "DBLP"} {
-		for _, k := range []int{5, 20} {
-			for _, eng := range engines {
-				b.Run(fmt.Sprintf("%s/k=%d/%s", name, k, eng.name), func(b *testing.B) {
-					g := benchDataset(b, name)
-					b.ResetTimer()
-					var attempts, fallbacks float64
-					for i := 0; i < b.N; i++ {
-						res, err := kvcc.Enumerate(g, k, kvcc.WithFlowEngine(eng.e))
-						if err != nil {
-							b.Fatal(err)
-						}
-						attempts += float64(res.Stats.LocalCutAttempts)
-						fallbacks += float64(res.Stats.LocalCutFallbacks)
-					}
-					if attempts > 0 {
-						b.ReportMetric(fallbacks/attempts, "localvc-fallback-frac")
-					}
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkTable2SweepRules regenerates Table 2: the sweep-rule pruning
 // proportions of VCCE*, reported as the pruned-fraction custom metric.
 func BenchmarkTable2SweepRules(b *testing.B) {

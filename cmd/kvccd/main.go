@@ -8,7 +8,7 @@
 //
 //	kvccd -graph social=social.txt -graph web=web.txt [-addr :7474]
 //	      [-cache 64] [-max-k 0] [-parallel 1] [-index] [-index-max-k 0]
-//	      [-index-measures kvcc] [-engine auto] [-seed 0]
+//	      [-index-measures kvcc]
 //	      [-request-timeout 30s] [-compute-timeout 5m] [-max-timeout 0]
 //	      [-max-inflight 0] [-quota rps[:burst]] [-drain-timeout 10s]
 //	      [-data-dir DIR] [-checkpoint-every 0] [-paging auto]
@@ -22,10 +22,7 @@
 // any k are answered from the tree instead of running the algorithm
 // (hierarchy and cohesion queries build the index on demand either way).
 // -index-max-k truncates that tree at a level when only shallow queries
-// matter. -engine selects the max-flow engine behind every enumeration
-// (auto | dinic | ek | local; all return identical results) and -seed
-// fixes the randomized local engine's seed — purely performance knobs.
-// -demo registers a small generated community graph under the
+// matter. -demo registers a small generated community graph under the
 // name "demo" so the server can be tried without any dataset. -selftest
 // starts the server on an ephemeral port, drives every endpoint through
 // the Go client (verifying that a repeated query is a cache hit and that
@@ -96,8 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		index           = fs.Bool("index", false, "precompute the hierarchy index of every graph at startup")
 		indexMaxK       = fs.Int("index-max-k", 0, "truncate hierarchy index builds at this level (0 = full depth)")
 		indexMeasures   = fs.String("index-measures", "kvcc", "comma-separated cohesion measures to index eagerly with -index: kvcc | kecc | kcore")
-		engine          = fs.String("engine", "auto", "max-flow engine: auto | dinic | ek | local (results are identical)")
-		seed            = fs.Uint64("seed", 0, "seed for the randomized local cut engine (0 = fixed default)")
 		requestTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request wait ceiling")
 		computeTimeout  = fs.Duration("compute-timeout", 5*time.Minute, "per-enumeration ceiling")
 		demo            = fs.Bool("demo", false, `also serve a generated community graph as "demo"`)
@@ -120,13 +115,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	// server.New degrades unknown engine names to auto; a daemon should
+	// server.New skips unknown measure names silently; a daemon should
 	// fail loudly on a typo instead, so validate the flag up front.
-	if _, err := server.ParseFlowEngine(*engine); err != nil {
-		fmt.Fprintln(stderr, "kvccd: -engine:", err)
-		return 2
-	}
-	// Same for measures: server.New skips unknown names silently.
 	measures := strings.Split(*indexMeasures, ",")
 	for _, m := range measures {
 		if _, err := kvcc.ParseMeasure(strings.TrimSpace(m)); err != nil {
@@ -156,8 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		BuildIndex:      *index,
 		IndexMaxK:       *indexMaxK,
 		IndexMeasures:   measures,
-		FlowEngine:      *engine,
-		Seed:            *seed,
 		DataDir:         *dataDir,
 		CheckpointEvery: *checkpointEvery,
 		MaxInflight:     *maxInflight,

@@ -77,19 +77,6 @@ func TestSelfTestWithTruncatedIndex(t *testing.T) {
 	}
 }
 
-// The engine and seed flags must thread through to a working server: the
-// full selftest runs on the forced local engine with a non-default seed
-// and must produce the same transcript (all engines are exact).
-func TestSelfTestWithLocalEngine(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"-selftest", "-engine", "local", "-seed", "7"}, &out, &errBuf); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errBuf.String())
-	}
-	if !strings.Contains(out.String(), "selftest: ok") {
-		t.Fatalf("self-test did not pass:\n%s", out.String())
-	}
-}
-
 func TestSelfTestWithLoadedGraph(t *testing.T) {
 	in := writeFixture(t)
 	var out, errBuf bytes.Buffer
@@ -115,7 +102,6 @@ func TestRunErrors(t *testing.T) {
 		{"dup-graph-name", []string{"-graph", "a=x", "-graph", "a=y"}, 2},
 		{"missing-file", []string{"-graph", "g=/does/not/exist", "-selftest"}, 1},
 		{"bad-flag", []string{"-wat"}, 2},
-		{"bad-engine", []string{"-selftest", "-engine", "wat"}, 2},
 	}
 	for _, tc := range cases {
 		var out, errBuf bytes.Buffer

@@ -77,9 +77,9 @@ func ParseMeasure(name string) (Measure, error) {
 // (k-core ⊇ k-ECC ⊇ k-VCC).
 func Measures() []Measure { return []Measure{KCore, KECC, KVCC} }
 
-// Options re-exports the engine options. Only KVCC consults Algorithm,
-// Parallelism, FlowEngine and Seed; the other measures accept and ignore
-// them, so one option set can drive any measure.
+// Options re-exports the engine options. Only KVCC consults them
+// (Algorithm, SSVDegreeCap, Parallelism); the other measures accept and
+// ignore them, so one option set can drive any measure.
 type Options = core.Options
 
 // Stats re-exports the shared work report.

@@ -8,7 +8,7 @@ package graph
 // Advise methods without knowing whether anything is listening. The
 // advisor translates those hints into madvise calls on the mapping.
 //
-// The second half of the contract is Materialize: the flow engines issue
+// The second half of the contract is Materialize: the flow engine issues
 // random, repeated reads (residual BFS/DFS over split-graph arcs), the
 // exact access pattern that thrashes a cold page cache. Every consumer
 // that hands a graph to a flow network therefore materializes it first —

@@ -98,20 +98,15 @@ type Options struct {
 	// measure: k-cores, k-ECCs and k-VCCs all nest level-over-level, so
 	// level k+1 is always found inside the level-k components.
 	Measure cohesion.Measure
-	// Algorithm selects the enumeration variant (default VCCEStar).
+	// Algorithm selects the enumeration variant. The zero value is the
+	// basic core.VCCE; pass core.VCCEStar for the swept variant, as
+	// kvcc.BuildHierarchy and the server's index builds do.
 	Algorithm core.Algorithm
 	// Parallelism enumerates sibling components of one level with this
 	// many workers (values below 2 select the deterministic serial loop;
 	// the result is identical either way because siblings are
 	// independent subproblems and each level is re-canonicalized).
 	Parallelism int
-	// FlowEngine selects the max-flow engine behind the per-level
-	// enumerations (default core.FlowAuto). All engines return identical
-	// results, so this is purely a performance knob.
-	FlowEngine core.FlowEngine
-	// Seed seeds the randomized LocalVC engine (0 = fixed default).
-	// Seeds never change results, only the engine's work profile.
-	Seed uint64
 }
 
 // Build computes the cohesion hierarchy of g in one incremental pass:
@@ -133,11 +128,7 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts Options) (*Tree, err
 	if opts.MaxK < 0 {
 		return nil, fmt.Errorf("hierarchy: negative MaxK %d", opts.MaxK)
 	}
-	coreOpts := core.Options{
-		Algorithm:  opts.Algorithm,
-		FlowEngine: opts.FlowEngine,
-		Seed:       opts.Seed,
-	}
+	coreOpts := core.Options{Algorithm: opts.Algorithm}
 
 	tree := &Tree{BuiltMaxK: opts.MaxK, Measure: opts.Measure}
 	frontier := []*Node{{Component: g}} // pseudo-parent for level 1

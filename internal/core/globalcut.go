@@ -24,12 +24,7 @@ func (e *enumerator) findCutBasic(g *graph.Graph, stats *Stats, ws *workspace) [
 	cert := ws.certificate(g, e.k)
 	sc := cert.SC
 	nw := flow.NewNetworkScratch(sc, e.k, &ws.flow)
-	nw.SetEngine(e.selectEngine(sc.NumVertices()))
-	defer func() {
-		stats.FlowRuns += nw.FlowRuns
-		stats.LocalCutAttempts += nw.LocalAttempts
-		stats.LocalCutFallbacks += nw.LocalFallbacks
-	}()
+	defer func() { stats.FlowRuns += nw.FlowRuns }()
 
 	u, _ := sc.MinDegreeVertex()
 	for v := 0; v < sc.NumVertices(); v++ {
@@ -155,7 +150,6 @@ func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, cert *sparse.Certifica
 	cf.sc = cert.SC
 	cf.k = e.k
 	cf.nw = flow.NewNetworkScratch(cert.SC, e.k, &ws.flow)
-	cf.nw.SetEngine(e.selectEngine(cert.SC.NumVertices()))
 	cf.useNS = e.opts.Algorithm.neighborSweep()
 	cf.useGS = e.opts.Algorithm.groupSweep()
 	cf.hint = hint
@@ -186,11 +180,7 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, hint *ssvHint, stats *Stat
 	cert := ws.certificate(g, e.k)
 	cf := &ws.cf
 	cf.reset(e, g, cert, hint, stats, ws)
-	defer func() {
-		stats.FlowRuns += cf.nw.FlowRuns
-		stats.LocalCutAttempts += cf.nw.LocalAttempts
-		stats.LocalCutFallbacks += cf.nw.LocalFallbacks
-	}()
+	defer func() { stats.FlowRuns += cf.nw.FlowRuns }()
 
 	n := g.NumVertices()
 

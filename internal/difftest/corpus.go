@@ -49,9 +49,9 @@ func Corpus() []Case {
 		{"grid", Grid(6, 7), 3},                                   // planar, κ = 2
 		{"disconnected-scraps", DisconnectedScraps(), 5},          // components + isolated vertices
 		{"star", Star(20), 2},                                     // no 2-VCC at all
-		// LocalVC-adversarial shapes: dense volume behind tiny cuts
-		// (barbell above, lollipop), no small cut at all (expander), and
-		// one shared cut serving many sides (star of cliques).
+		// Cut-placement shapes: dense volume behind tiny cuts (barbell
+		// above, lollipop), no small cut at all (expander), and one
+		// shared cut serving many sides (star of cliques).
 		{"lollipop", Lollipop(8, 6), 7},                     // clique + dangling path
 		{"harary-expander", Harary(40, 8), 9},               // 8-regular, κ = 8, no local exit
 		{"star-of-cliques", StarOfCliques(4, 8, 3), 6},      // hub set is every minimum cut

@@ -80,7 +80,7 @@ func checkContained(t testing.TB, k int, innerName string, inner []*graph.Graph,
 
 // measureVariants is the option battery for the measures that have no
 // algorithm variants of their own. cohesion.Options documents that only
-// KVCC consults parallelism, flow engine and seed — so under k-ECC and
+// KVCC consults the algorithm and parallelism — so under k-ECC and
 // k-core every one of these must produce the identical component
 // sequence, pinning that contract.
 var measureVariants = []struct {
@@ -89,8 +89,7 @@ var measureVariants = []struct {
 }{
 	{"serial", cohesion.Options{}},
 	{"parallel", cohesion.Options{Parallelism: 4}},
-	{"ek-engine", cohesion.Options{FlowEngine: core.FlowEdmondsKarp}},
-	{"seeded", cohesion.Options{Seed: 0xfeedface}},
+	{"vcce-star", cohesion.Options{Algorithm: core.VCCEStar}},
 }
 
 // CheckMeasureVariantsAgree enumerates (g, k) under measure m with every

@@ -21,8 +21,8 @@ func TestNesting(t *testing.T) {
 }
 
 // TestMeasureVariantsAgree runs k-ECC and k-core through the option
-// battery: the non-kvcc measures ignore parallelism, flow engine and
-// seed, so every configuration must produce the identical sequence.
+// battery: the non-kvcc measures ignore the algorithm and parallelism,
+// so every configuration must produce the identical sequence.
 func TestMeasureVariantsAgree(t *testing.T) {
 	for _, m := range []cohesion.Measure{cohesion.KECC, cohesion.KCore} {
 		t.Run(m.String(), func(t *testing.T) {

@@ -30,11 +30,10 @@
 //   - residual capacities are restored by replaying a touched-arc undo
 //     log (each arc is recorded once per query, deduplicated by an epoch
 //     stamp) instead of copying the whole capacity array;
-//   - the per-node level, current-arc, and parent-arc scratch is
-//     generation-stamped: each entry packs a 32-bit generation next to
-//     its 32-bit value in one uint64, so bumping a counter invalidates
-//     the whole array in O(1) and reading an entry costs a single memory
-//     access.
+//   - the per-node level and current-arc scratch is generation-stamped:
+//     each entry packs a 32-bit generation next to its 32-bit value in
+//     one uint64, so bumping a counter invalidates the whole array in
+//     O(1) and reading an entry costs a single memory access.
 package flow
 
 import (
@@ -76,35 +75,18 @@ type Network struct {
 	// Per-node scratch. Each entry packs (generation << 32) | value; an
 	// entry is valid iff its generation half equals the current counter,
 	// so none of these arrays is ever cleared.
-	level  []uint64 // BFS level of the Dinic level graph
-	iter   []uint64 // current-arc cursor, an absolute arc id (an unstamped read means arcStart[node])
-	parent []uint64 // Edmonds-Karp predecessor arc (stamped = visited)
+	level []uint64 // BFS level of the Dinic level graph
+	iter  []uint64 // current-arc cursor, an absolute arc id (an unstamped read means arcStart[node])
 
-	levelGen  uint32
-	iterGen   uint32
-	parentGen uint32
+	levelGen uint32
+	iterGen  uint32
 
 	queue    []int32
 	dfsStack []dfsFrame
 
-	engine Engine
-
-	// LocalVC engine state: the xorshift PRNG (see SetSeed), the
-	// per-round arc budget override (0 = heuristic), and the fake-sink
-	// endpoints of the current query's path reversals.
-	rngState    uint64
-	localBudget int
-	fakeEnds    []int32
-
 	// FlowRuns counts the number of max-flow computations executed
 	// (LOC-CUT invocations that were not short-circuited).
 	FlowRuns int64
-	// LocalAttempts counts queries the LocalVC engine started;
-	// LocalFallbacks counts the subset it handed to Dinic (budget overrun
-	// past the repetition bound, or a boundary it could not certify as
-	// minimum). Both stay 0 under the other engines.
-	LocalAttempts  int64
-	LocalFallbacks int64
 }
 
 type dfsFrame struct {
@@ -197,25 +179,7 @@ func (nw *Network) MinVertexCutLimit(u, v, limit int) (cut []int, connectivity i
 	nw.FlowRuns++
 	nw.undo()
 	src, dst := outNode(u), inNode(v)
-	var value int
-	switch nw.engine {
-	case EdmondsKarp:
-		value = nw.maxFlowEK(src, dst, limit)
-	case LocalVC:
-		var done bool
-		value, done = nw.maxFlowLocal(src, dst, limit)
-		if !done {
-			// Deterministic fallback: roll the local phase's residual
-			// mutations back through the undo log and rerun the query
-			// on the exact Dinic path. Answers therefore never depend
-			// on the PRNG.
-			nw.LocalFallbacks++
-			nw.undo()
-			value = nw.maxFlowDinic(src, dst, limit)
-		}
-	default:
-		value = nw.maxFlowDinic(src, dst, limit)
-	}
+	value := nw.maxFlowDinic(src, dst, limit)
 	if value >= limit {
 		return nil, limit, true
 	}

@@ -397,22 +397,25 @@ type AdmissionStats struct {
 // lifetime. Errors counts non-fatal persistence failures — serving
 // continues in memory — with LastError holding the most recent one.
 type PersistStats struct {
-	Enabled         bool   `json:"enabled"`
-	Graphs          int    `json:"graphs"`
-	RecoveredGraphs int    `json:"recovered_graphs"`
-	ReplayedBatches int    `json:"replayed_batches"`
-	TornTails       int    `json:"torn_tails,omitempty"`
-	WALAppends      int64  `json:"wal_appends"`
-	Checkpoints     int64  `json:"checkpoints"`
+	Enabled         bool  `json:"enabled"`
+	Graphs          int   `json:"graphs"`
+	RecoveredGraphs int   `json:"recovered_graphs"`
+	ReplayedBatches int   `json:"replayed_batches"`
+	TornTails       int   `json:"torn_tails,omitempty"`
+	WALAppends      int64 `json:"wal_appends"`
+	Checkpoints     int64 `json:"checkpoints"`
 	// SpillCompactions counts checkpoints taken through the zero-heap
 	// streaming path (store.CompactToStore): the overlay was folded
 	// straight into a new snapshot file and the graph re-mapped, instead
 	// of compacting on the heap first. A subset of Checkpoints.
 	SpillCompactions int64 `json:"spill_compactions,omitempty"`
-	IndexSaves      int64  `json:"index_saves,omitempty"`
-	IndexLoads      int64  `json:"index_loads,omitempty"`
-	Errors          int64  `json:"errors,omitempty"`
-	LastError       string `json:"last_error,omitempty"`
+	IndexSaves       int64 `json:"index_saves,omitempty"`
+	// IndexSaveSkips counts finished index builds that could not be
+	// saved because their graph had no registered store.
+	IndexSaveSkips int64  `json:"index_save_skips,omitempty"`
+	IndexLoads     int64  `json:"index_loads,omitempty"`
+	Errors         int64  `json:"errors,omitempty"`
+	LastError      string `json:"last_error,omitempty"`
 }
 
 // EnumStats aggregates the enumeration work the server has performed.
@@ -513,25 +516,6 @@ func wireAlgorithm(m kvcc.Measure, algo kvcc.Algorithm) string {
 		return ""
 	}
 	return algo.String()
-}
-
-// ParseFlowEngine maps engine names onto the flow engines, mirroring
-// parseAlgorithm's spellings: short CLI names and common aliases are both
-// accepted; the empty string selects the default auto heuristic. Exported
-// so front-ends (kvccd's -engine flag) can reject bad names up front —
-// Config.FlowEngine itself degrades unknown names to auto.
-func ParseFlowEngine(name string) (kvcc.FlowEngine, error) {
-	switch name {
-	case "", "auto":
-		return kvcc.FlowAuto, nil
-	case "dinic":
-		return kvcc.FlowDinic, nil
-	case "ek", "edmonds-karp":
-		return kvcc.FlowEdmondsKarp, nil
-	case "local", "localvc":
-		return kvcc.FlowLocalVC, nil
-	}
-	return 0, fmt.Errorf("unknown flow engine %q (want auto | dinic | ek | local)", name)
 }
 
 // wireComponent converts one component subgraph to its wire form.

@@ -144,15 +144,16 @@ func (s *Server) startIndexBuildLocked(name string, e graphEntry, m cohesion.Mea
 		cancel:  cancel,
 	}
 	s.indexes[key] = ix
+	s.indexWG.Add(1)
 	go func() {
+		defer s.indexWG.Done()
 		defer cancel()
 		begin := time.Now()
 		tree, err := hierarchy.BuildContext(ctx, e.g, hierarchy.Options{
 			MaxK:        ix.maxK,
 			Measure:     m,
+			Algorithm:   kvcc.VCCEStar,
 			Parallelism: s.cfg.Parallelism,
-			FlowEngine:  s.engine, // kvcc.FlowEngine aliases core.FlowEngine
-			Seed:        s.cfg.Seed,
 		})
 		ix.buildMS = float64(time.Since(begin)) / float64(time.Millisecond)
 		ix.tree, ix.err = tree, err

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"kvcc/cohesion"
 	"kvcc/gen"
 	"kvcc/graph"
 )
@@ -361,5 +362,24 @@ func TestIndexEndpointsHTTP(t *testing.T) {
 	}
 	if stats.Enumerations.IndexServed < 3 {
 		t.Fatalf("index-served count = %d, want >= 3", stats.Enumerations.IndexServed)
+	}
+}
+
+// Index builds run VCCE*, the swept variant, not hierarchy.Options'
+// zero-value VCCE: the built tree's work report must show vertices the
+// neighbour and group sweeps skipped.
+func TestIndexBuildUsesSweeps(t *testing.T) {
+	s := New(Config{BuildIndex: true})
+	defer s.Close()
+	s.AddGraph("g", indexTestGraph())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	ix, err := s.indexFor(ctx, "g", cohesion.KVCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ix.tree.Stats.Core
+	if swept := st.SweptNS1 + st.SweptNS2 + st.SweptGS; swept == 0 {
+		t.Fatalf("index build swept no vertices (tested %d): not VCCE*", st.TestedNonPrune)
 	}
 }

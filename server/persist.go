@@ -101,23 +101,21 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops background index builds (waiting for them to drain) and
-// releases every store, including the snapshot mappings recovered graphs
-// are served from. Call it only once the server has stopped serving: any
-// request still holding a recovered graph loses its memory. A server
-// without persistence has nothing to release beyond the index goroutines.
+// Close stops background index builds (waiting for them, and for their
+// index saves, to drain) and releases every store, including the
+// snapshot mappings recovered graphs are served from. Call it only once
+// the server has stopped serving: any request still holding a recovered
+// graph loses its memory, and a request starting a new build while Close
+// waits races it. A server without persistence has nothing to release
+// beyond the index goroutines.
 func (s *Server) Close() error {
 	s.indexMu.Lock()
-	ixs := make([]*graphIndex, 0, len(s.indexes))
 	for _, ix := range s.indexes {
-		ixs = append(ixs, ix)
+		ix.cancel()
 	}
 	s.indexes = make(map[indexKey]*graphIndex)
 	s.indexMu.Unlock()
-	for _, ix := range ixs {
-		ix.cancel()
-		<-ix.ready
-	}
+	s.indexWG.Wait()
 
 	s.storeMu.Lock()
 	stores := s.stores
@@ -330,10 +328,12 @@ func (s *Server) persistIndex(ix *graphIndex) {
 	}
 	s.storeMu.Lock()
 	st := s.stores[ix.graph]
-	s.storeMu.Unlock()
 	if st == nil {
+		s.persist.IndexSaveSkips++
+		s.storeMu.Unlock()
 		return
 	}
+	s.storeMu.Unlock()
 	if err := st.SaveIndex(ix.tree, entry.version, ix.buildMS); err != nil {
 		s.notePersistError("index save for "+ix.graph, err)
 		return

@@ -337,6 +337,9 @@ func TestStaleIndexIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// a stays live while b recovers (the crash); closing it last drains
+	// its repair build, whose save must not land after the test returns.
+	defer a.Close()
 	a.AddGraph("fig2", twoCliques())
 	if _, err := a.Hierarchy(context.Background(), HierarchyRequest{Graph: "fig2"}); err != nil {
 		t.Fatal(err)
@@ -400,6 +403,34 @@ func TestIndexDepthCapMismatchIgnored(t *testing.T) {
 	defer b.Close()
 	if ps := b.Stats().Persistence; ps.IndexLoads != 0 {
 		t.Fatalf("index with BuiltMaxK=0 loaded into an IndexMaxK=2 server (%d loads)", ps.IndexLoads)
+	}
+}
+
+// TestIndexSaveSkipCounted: an index build whose graph has no usable
+// store cannot be saved, and the skip is counted rather than silent.
+func TestIndexSaveSkipCounted(t *testing.T) {
+	cfg := persistCfg(t)
+	cfg.BuildIndex = true
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A plain file where the graph's store directory belongs makes the
+	// store fail to open.
+	if err := os.WriteFile(filepath.Join(cfg.DataDir, "fig2"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.AddGraph("fig2", twoCliques())
+	if _, err := s.Hierarchy(context.Background(), HierarchyRequest{Graph: "fig2"}); err != nil {
+		t.Fatal(err)
+	}
+	// Close waits for the build's save attempt.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ps := s.Stats().Persistence
+	if ps.IndexSaveSkips != 1 || ps.IndexSaves != 0 {
+		t.Fatalf("index saves = %d, skips = %d; want 0 saves, 1 skip", ps.IndexSaves, ps.IndexSaveSkips)
 	}
 }
 

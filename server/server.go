@@ -102,16 +102,6 @@ type Config struct {
 	// It is independent of ComputeTimeout because an index build covers
 	// every level, not one k.
 	IndexBuildTimeout time.Duration
-	// FlowEngine names the max-flow engine used by every enumeration and
-	// index build: "auto" (default, also the empty string), "dinic",
-	// "ek"/"edmonds-karp", or "local"/"localvc". All engines return
-	// identical results. Unknown names fall back to auto — validate
-	// up front with ParseFlowEngine where an error is wanted (kvccd
-	// rejects bad names at startup).
-	FlowEngine string
-	// Seed seeds the randomized LocalVC engine for every enumeration
-	// (0 = fixed default; results never depend on the seed).
-	Seed uint64
 	// DataDir enables durability: every registered graph gets an on-disk
 	// store (mmap-able CSR snapshot + write-ahead log of edit batches +
 	// persisted hierarchy index) in a subdirectory, and Open recovers the
@@ -218,7 +208,6 @@ type Server struct {
 	flight *flightGroup
 	adm    *admission
 	start  time.Time
-	engine kvcc.FlowEngine // parsed from cfg.FlowEngine at New
 
 	// indexMeasures is cfg.IndexMeasures parsed and deduplicated at New:
 	// the measures every eager (BuildIndex) and repair build covers.
@@ -250,6 +239,9 @@ type Server struct {
 
 	indexMu sync.Mutex
 	indexes map[indexKey]*graphIndex
+	// indexWG counts running index-build goroutines, save included, so
+	// Close can wait for displaced builds too, not only installed ones.
+	indexWG sync.WaitGroup
 
 	statsMu      sync.Mutex
 	enum         EnumStats
@@ -359,17 +351,9 @@ var testHookEnumerateStarted func()
 // New returns a Server with no graphs loaded.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	// An unknown engine name degrades to auto rather than failing: New
-	// has no error return, and auto is correct for every input. Callers
-	// that want strict validation run ParseFlowEngine first, as kvccd
-	// does for its -engine flag.
-	engine, err := ParseFlowEngine(cfg.FlowEngine)
-	if err != nil {
-		engine = kvcc.FlowAuto
-	}
-	// Unknown measure names degrade by being skipped for the same reason
-	// unknown engines degrade to auto; an empty (or all-unknown) list
-	// selects the kvcc default, preserving pre-measure behavior exactly.
+	// Unknown measure names degrade by being skipped rather than failing
+	// (New has no error return); an empty (or all-unknown) list selects
+	// the kvcc default, preserving pre-measure behavior exactly.
 	var measures []cohesion.Measure
 	seen := map[cohesion.Measure]bool{}
 	for _, name := range cfg.IndexMeasures {
@@ -389,7 +373,6 @@ func New(cfg Config) *Server {
 		flight:        newFlightGroup(),
 		adm:           newAdmission(cfg),
 		start:         time.Now(),
-		engine:        engine,
 		indexMeasures: measures,
 		graphs:        make(map[string]graphEntry),
 		prev:          make(map[prevKey]*list.Element),
@@ -460,12 +443,15 @@ func (s *Server) AddGraph(name string, g *graph.Graph) {
 		s.dropSeeds(name)
 		s.dropIdem(name)
 	}
+	// Persist before starting the index build: the build's save needs
+	// the store registered, and persistNewGraph's DropIndex must not
+	// delete an index a fast build already saved for this graph.
+	s.persistNewGraph(name, g)
 	if s.cfg.BuildIndex {
 		s.resetIndex(name, entry)
 	} else {
 		s.retireIndex(name, entry.gen)
 	}
-	s.persistNewGraph(name, g)
 }
 
 // RemoveGraph unregisters the named graph, drops its cached results and
@@ -751,12 +737,10 @@ func (s *Server) enumerate(key cacheKey, g *graph.Graph) (*kvcc.Result, error) {
 	var err error
 	if key.measure == kvcc.MeasureKVCC {
 		res, err = kvcc.EnumerateIncrementalContext(ctx, g, key.k, seed,
-			kvcc.WithAlgorithm(key.algo), kvcc.WithParallelism(s.cfg.Parallelism),
-			kvcc.WithFlowEngine(s.engine), kvcc.WithSeed(s.cfg.Seed))
+			kvcc.WithAlgorithm(key.algo), kvcc.WithParallelism(s.cfg.Parallelism))
 	} else {
 		res, err = kvcc.EnumerateMeasureContext(ctx, g, key.k, key.measure,
-			kvcc.WithParallelism(s.cfg.Parallelism),
-			kvcc.WithFlowEngine(s.engine), kvcc.WithSeed(s.cfg.Seed))
+			kvcc.WithParallelism(s.cfg.Parallelism))
 	}
 	elapsed := time.Since(begin)
 	if haveFaults && res != nil {
