@@ -69,7 +69,7 @@ func Community(n, m int, seed int64) *graph.Graph {
 }
 
 // To put a generated graph on disk, pair Community with the store
-// package: store.WriteSnapshot(path, gen.Community(n, m, seed), 1).
+// package: store.WriteSnapshotStream(path, store.GraphStream(gen.Community(n, m, seed), 1)).
 // gen deliberately does not import store — test and bench files across
 // the repo import gen, and a gen→store edge would close a cycle through
 // their packages.

@@ -17,8 +17,7 @@ import "fmt"
 //
 // The returned graph reports External() true: enumeration code treats it
 // as demand-paged — sequential scans read it in place, anything with a
-// random access pattern copies out first (Materialize), and the owner may
-// attach a paging Advisor (SetAdvisor) to receive access hints.
+// random access pattern copies out first (Materialize).
 func AdoptCSR(offsets, edges []int, labels []int64, m int) (*Graph, error) {
 	n := len(labels)
 	switch {
@@ -32,6 +31,28 @@ func AdoptCSR(offsets, edges []int, labels []int64, m int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: adopt: %d edge entries for m = %d (want 2m)", len(edges), m)
 	}
 	return &Graph{offsets: offsets, edges: edges, labels: labels, m: m, external: true}, nil
+}
+
+// External reports whether the graph's CSR arrays were adopted from an
+// externally managed region (AdoptCSR) rather than built on the heap.
+// Subgraphs extracted from an external graph are heap-built and report
+// false: extraction is exactly the copy-out boundary.
+func (g *Graph) External() bool { return g.external }
+
+// Materialize returns g itself for heap-built graphs, and a heap copy for
+// adopted (externally backed) graphs. The flow engine issues random,
+// repeated reads (residual BFS/DFS over split-graph arcs), the access
+// pattern that thrashes a cold page cache, so every consumer that hands a
+// graph to a flow network copies it out first: subgraph extraction
+// already builds fresh heap arrays, and the whole-graph-survives-reduction
+// case calls Materialize. The shared mapping is then only ever read by
+// sequential scans, and the copy's lifetime is detached from the
+// mapping's.
+func (g *Graph) Materialize() *Graph {
+	if !g.external {
+		return g
+	}
+	return g.Clone()
 }
 
 // ValidateCSR exhaustively checks the CSR invariants of g in O(n + m):

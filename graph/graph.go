@@ -18,11 +18,9 @@ type Graph struct {
 	m       int     // number of undirected edges
 
 	// external marks arrays adopted from an externally managed region
-	// (a read-only mmap); advisor, when set, receives paging hints for
-	// that region. See paging.go. Both are zero for heap-built graphs,
+	// (a read-only mmap; see AdoptCSR). It is false for heap-built graphs,
 	// including every subgraph extracted from an external one.
 	external bool
-	advisor  Advisor
 }
 
 // NumVertices returns the number of vertices.

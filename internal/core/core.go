@@ -418,14 +418,7 @@ func (e *enumerator) step(t task, stats *Stats, ws *workspace) (children []task,
 		return nil, nil
 	}
 	comps := cored.ConnectedComponents()
-	for ci, comp := range comps {
-		// On a mapped graph, overlap I/O with compute: while this
-		// component is extracted and decomposed, the next one's byte range
-		// is already faulting in. (External() gates the min/max scan; the
-		// hint itself is a no-op without an advisor.)
-		if cored.External() && ci+1 < len(comps) {
-			adviseRange(cored, comps[ci+1])
-		}
+	for _, comp := range comps {
 		var sub *graph.Graph
 		if len(comps) == 1 && cored.NumVertices() == len(comp) {
 			// Whole graph survived reduction in one piece. Materialize
@@ -470,26 +463,6 @@ func (e *enumerator) step(t task, stats *Stats, ws *workspace) (children []task,
 		}
 	}
 	return children, vccs
-}
-
-// adviseRange forwards a WillNeed hint covering the vertex-id span of
-// comp (a connected-component vertex list in g's id space). The span may
-// overestimate — components interleave — but readahead over a superset
-// only prefetches bytes a later component needs anyway.
-func adviseRange(g *graph.Graph, comp []int) {
-	if len(comp) == 0 {
-		return
-	}
-	lo, hi := comp[0], comp[0]
-	for _, v := range comp {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	g.AdviseWillNeed(lo, hi)
 }
 
 // overlapPartition implements OVERLAP-PARTITION (Algorithm 1, lines 13-18):

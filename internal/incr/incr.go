@@ -145,23 +145,9 @@ func Partition(g *graph.Graph, k int) (comps []*graph.Graph, keys []ComponentKey
 		return nil, nil, peeled
 	}
 	ccs := cored.ConnectedComponents()
-	for ci, cc := range ccs {
+	for _, cc := range ccs {
 		if len(cc) <= k {
 			continue
-		}
-		// Prefetch the next component's byte range off a mapped snapshot
-		// while this one is being copied out (no-op on heap graphs).
-		if cored.External() && ci+1 < len(ccs) {
-			lo, hi := ccs[ci+1][0], ccs[ci+1][0]
-			for _, v := range ccs[ci+1] {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			cored.AdviseWillNeed(lo, hi)
 		}
 		var sub *graph.Graph
 		if len(ccs) == 1 && cored.NumVertices() == len(cc) {

@@ -91,13 +91,11 @@ func Reduce(g *graph.Graph, k int) (*graph.Graph, int) {
 // adjacency read walks the flat edges array forward. On a graph adopted
 // from a cold mmap'd snapshot this turns the first reduction — the one
 // pass that must touch the whole graph — into a sequential scan instead
-// of a page-cache-thrashing recursion, and the AdviseSequential hint
-// below lets the mapping's owner raise readahead for exactly that scan.
+// of a page-cache-thrashing recursion.
 func ReduceScratch(g *graph.Graph, k int, s *graph.Scratch) (*graph.Graph, int) {
 	if k <= 0 {
 		return g, 0
 	}
-	g.AdviseSequential() // no-op unless g is a mapped snapshot with an advisor
 	n := g.NumVertices()
 	deg := make([]int, n)
 	removed := make([]bool, n)

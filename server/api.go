@@ -9,6 +9,7 @@ import (
 	"kvcc/graph"
 	"kvcc/hierarchy"
 	"kvcc/metrics"
+	"kvcc/store"
 )
 
 // The wire types below are shared by the HTTP handlers and the Go Client,
@@ -319,28 +320,13 @@ type StatsResponse struct {
 	Indexes      []IndexInfo     `json:"indexes,omitempty"`
 	Persistence  *PersistStats   `json:"persistence,omitempty"`
 	Admission    *AdmissionStats `json:"admission,omitempty"`
-	// Paging aggregates madvise/residency accounting across every
-	// graph's snapshot mapping (present only with persistence enabled);
-	// see store.PagingStats for the per-store fields being summed.
-	Paging   *PagingStats `json:"paging,omitempty"`
-	UptimeMS float64      `json:"uptime_ms"`
-}
-
-// PagingStats is the server-wide roll-up of store paging activity:
-// counters and mapping sizes sum across stores, residency sums across
-// live mappings, and SnapshotOpenMS is the maximum last-open cost among
-// them (the startup-latency figure of merit).
-type PagingStats struct {
-	Policy          string  `json:"policy"`
-	SequentialHints int64   `json:"sequential_hints"`
-	WillNeedHints   int64   `json:"willneed_hints"`
-	Releases        int64   `json:"releases"`
-	Evictions       int64   `json:"evictions"`
-	MappedBytes     int64   `json:"mapped_bytes"`
-	ResidentPages   int     `json:"resident_pages,omitempty"`
-	TotalPages      int     `json:"total_pages,omitempty"`
-	SnapshotOpenMS  float64 `json:"snapshot_open_ms"`
-	RetiredMappings int     `json:"retired_mappings,omitempty"`
+	// Paging rolls up the page-release, eviction and residency figures
+	// of every graph's snapshot mapping (present only with persistence
+	// enabled): counters and mapping sizes sum across stores, residency
+	// sums across live mappings, and SnapshotOpenMS is the slowest last
+	// open among them (the startup-latency figure of merit).
+	Paging   *store.PagingStats `json:"paging,omitempty"`
+	UptimeMS float64            `json:"uptime_ms"`
 }
 
 // AdmissionStats describes the server's overload boundary: configured

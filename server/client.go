@@ -16,7 +16,7 @@ import (
 )
 
 // Client is a minimal Go client for the kvccd HTTP API. It is used by the
-// kvccd self-test mode, the integration tests, and the serving example;
+// integration tests, the serving example and the kvccbench load driver;
 // external consumers can use it as-is.
 //
 // Resilience is opt-in and safe by construction: with Retry set, only

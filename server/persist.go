@@ -56,7 +56,7 @@ func Open(cfg Config) (*Server, error) {
 			s.notePersistError("recover "+de.Name(), err)
 			continue
 		}
-		st, err := store.Open(filepath.Join(s.cfg.DataDir, de.Name()), s.storeOptions())
+		st, err := store.Open(filepath.Join(s.cfg.DataDir, de.Name()), store.Options{})
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("server: recover %q: %w", name, err)
@@ -132,11 +132,6 @@ func (s *Server) Close() error {
 
 func (s *Server) persistEnabled() bool { return s.cfg.DataDir != "" }
 
-// storeOptions is the store configuration every graph store opens with.
-func (s *Server) storeOptions() store.Options {
-	return store.Options{PagingPolicy: s.cfg.PagingPolicy}
-}
-
 // graphDir maps a graph name onto its store directory. Escaping makes any
 // name filesystem-safe and the mapping invertible for recovery.
 func (s *Server) graphDir(name string) string {
@@ -156,7 +151,7 @@ func (s *Server) storeFor(name string) *store.Store {
 	if st != nil {
 		return st
 	}
-	st, err := store.Open(s.graphDir(name), s.storeOptions())
+	st, err := store.Open(s.graphDir(name), store.Options{})
 	if err != nil {
 		s.notePersistError("open store for "+name, err)
 		return nil
@@ -170,7 +165,7 @@ func (s *Server) storeFor(name string) *store.Store {
 // persistNewGraph checkpoints a freshly registered graph as its store's
 // initial snapshot and discards any persisted index of the graph it
 // replaced. Runs under editMu (from AddGraph), so it cannot interleave
-// with an edit batch's Append on the same store.
+// with an edit batch's Append or an index save on the same store.
 func (s *Server) persistNewGraph(name string, g *graph.Graph) {
 	st := s.storeFor(name)
 	if st == nil {
@@ -312,14 +307,26 @@ func (s *Server) recoverIndex(name string, e graphEntry, st *store.Store) {
 	}
 }
 
+// testHookIndexSave, when non-nil, runs when a finished index build is
+// about to save, before the generation check. Tests use it to replace a
+// graph while a build of the old one is saving.
+var testHookIndexSave func()
+
 // persistIndex saves a finished index build if its graph generation is
-// still the installed one. The saved file is stamped with the overlay
-// version, so a save racing a concurrent edit is harmless: recovery only
-// loads an index whose stamp equals the recovered version.
+// still the installed one, stamped with that generation's overlay
+// version. The check and the save run under editMu, which every registry
+// mutation holds: AddGraph drops the replaced graph's index and restarts
+// the version at 1 under it, so a build of the old graph can never save
+// after that drop a tree that recovery would load for the new graph.
 func (s *Server) persistIndex(ix *graphIndex) {
 	if !s.persistEnabled() || ix.err != nil || ix.tree == nil {
 		return
 	}
+	if testHookIndexSave != nil {
+		testHookIndexSave()
+	}
+	s.editMu.Lock()
+	defer s.editMu.Unlock()
 	s.mu.Lock()
 	entry, ok := s.graphs[ix.graph]
 	s.mu.Unlock()
@@ -366,7 +373,7 @@ func (s *Server) persistStats() *PersistStats {
 // pagingStats rolls the per-store paging figures up into one server-wide
 // view (nil when persistence is disabled): counters and sizes sum,
 // SnapshotOpenMS takes the slowest last open.
-func (s *Server) pagingStats() *PagingStats {
+func (s *Server) pagingStats() *store.PagingStats {
 	if !s.persistEnabled() {
 		return nil
 	}
@@ -376,11 +383,9 @@ func (s *Server) pagingStats() *PagingStats {
 		stores = append(stores, st)
 	}
 	s.storeMu.Unlock()
-	agg := &PagingStats{Policy: s.cfg.PagingPolicy.String()}
+	agg := &store.PagingStats{}
 	for _, st := range stores {
 		ps := st.PagingStats()
-		agg.SequentialHints += ps.SequentialHints
-		agg.WillNeedHints += ps.WillNeedHints
 		agg.Releases += ps.Releases
 		agg.Evictions += ps.Evictions
 		agg.MappedBytes += ps.MappedBytes

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"kvcc/graph"
 	"kvcc/internal/difftest"
 )
 
@@ -403,6 +405,68 @@ func TestIndexDepthCapMismatchIgnored(t *testing.T) {
 	defer b.Close()
 	if ps := b.Stats().Persistence; ps.IndexLoads != 0 {
 		t.Fatalf("index with BuiltMaxK=0 loaded into an IndexMaxK=2 server (%d loads)", ps.IndexLoads)
+	}
+}
+
+// TestReplacedGraphIndexSaveDropped: a build of a graph that AddGraph
+// replaces while the build is saving must not land its tree. AddGraph
+// drops the old index and restarts the version at 1, so a late save
+// would be stamped with the replacement's version and recovery would
+// serve the old graph's hierarchy for the new graph.
+func TestReplacedGraphIndexSaveDropped(t *testing.T) {
+	cfg := persistCfg(t)
+	a, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.AddGraph("g", twoCliques())
+	var k5 [][2]int
+	for i := 0; i < 5; i++ {
+		for j := i + 1; j < 5; j++ {
+			k5 = append(k5, [2]int{i, j})
+		}
+	}
+	replacement := graph.FromEdges(5, k5)
+
+	saving, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	testHookIndexSave = func() {
+		once.Do(func() {
+			close(saving)
+			<-release
+		})
+	}
+	t.Cleanup(func() { testHookIndexSave = nil })
+
+	// The on-demand build answers once its tree is ready; its save then
+	// runs asynchronously and stops in the hook.
+	if _, err := a.Hierarchy(context.Background(), HierarchyRequest{Graph: "g"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-saving:
+	case <-time.After(5 * time.Second):
+		t.Fatal("index build never reached its save")
+	}
+	a.AddGraph("g", replacement)
+	close(release)
+	// Close waits for the held save to finish (or be dropped).
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if ps := b.Stats().Persistence; ps.IndexLoads != 0 {
+		t.Fatalf("recovery loaded %d index(es) saved by the replaced graph's build", ps.IndexLoads)
+	}
+	ref := New(Config{})
+	ref.AddGraph("g", replacement)
+	if got, want := hierarchyJSON(t, b, "g"), hierarchyJSON(t, ref, "g"); !bytes.Equal(got, want) {
+		t.Fatalf("recovered hierarchy does not describe the replacement graph:\n got  %s\n want %s", got, want)
 	}
 }
 

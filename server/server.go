@@ -151,12 +151,6 @@ type Config struct {
 	// the request proceeds under the ceiling and the clamp is counted in
 	// AdmissionStats.TimeoutsClamped; negative timeout_ms is rejected.
 	MaxTimeout time.Duration
-	// PagingPolicy controls madvise on snapshot mappings when DataDir is
-	// set: store.PagingAuto (zero value) forwards enumeration access
-	// hints to the kernel and spills checkpoints straight to disk;
-	// store.PagingOff disables all advice (the A/B baseline). Parse flag
-	// values with store.ParsePagingPolicy.
-	PagingPolicy store.PagingPolicy
 }
 
 func (c Config) withDefaults() Config {

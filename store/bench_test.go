@@ -59,7 +59,7 @@ func BenchmarkStartupColdIngest(b *testing.B) {
 func BenchmarkStartupSnapshotOpen(b *testing.B) {
 	g := benchStartupGraph(b)
 	path := filepath.Join(b.TempDir(), snapshotName)
-	if err := WriteSnapshot(path, g, 1); err != nil {
+	if err := WriteSnapshotStream(path, GraphStream(g, 1)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

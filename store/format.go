@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -87,46 +86,10 @@ func decodeInt64s(b []byte, n int) []int64 {
 	return out
 }
 
-// writeInts streams vals as little-endian int64 through w (which also
-// feeds the running CRC), using buf as scratch.
-func writeInts(w io.Writer, vals []int, buf []byte) error {
-	for len(vals) > 0 {
-		chunk := len(buf) / 8
-		if chunk > len(vals) {
-			chunk = len(vals)
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(int64(vals[i])))
-		}
-		if _, err := w.Write(buf[:8*chunk]); err != nil {
-			return err
-		}
-		vals = vals[chunk:]
-	}
-	return nil
-}
-
-func writeInt64s(w io.Writer, vals []int64, buf []byte) error {
-	for len(vals) > 0 {
-		chunk := len(buf) / 8
-		if chunk > len(vals) {
-			chunk = len(vals)
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(vals[i]))
-		}
-		if _, err := w.Write(buf[:8*chunk]); err != nil {
-			return err
-		}
-		vals = vals[chunk:]
-	}
-	return nil
-}
-
 // atomicReplace makes tmp become path durably: fsync the written file,
 // rename over the destination, fsync the directory so the rename itself
-// survives a crash. The caller has already written and closed tmp? No —
-// f is the still-open tmp file; atomicReplace syncs and closes it.
+// survives a crash. f is the still-open tmp file; atomicReplace syncs and
+// closes it.
 func atomicReplace(f *os.File, tmp, path string) error {
 	if err := f.Sync(); err != nil {
 		f.Close()

@@ -2,25 +2,10 @@ package store
 
 import "syscall"
 
-// madvise wrappers; all best-effort (errors discarded — advice that the
-// kernel refuses is advice not taken). Callers pass page-aligned regions
-// (a whole mapping, or pageSpan output). The standard syscall package
-// only wraps madvise on linux, which is also the only platform the
-// serving fleet pages on; the BSDs/darwin keep their mmap support but
-// take the no-advice path.
-
-func madviseSequential(b []byte) {
-	if len(b) > 0 {
-		syscall.Madvise(b, syscall.MADV_SEQUENTIAL)
-	}
-}
-
-func madviseWillNeed(b []byte) {
-	if len(b) > 0 {
-		syscall.Madvise(b, syscall.MADV_WILLNEED)
-	}
-}
-
+// madviseDontNeed drops a mapping's resident pages. Best-effort: the
+// error is discarded, since a release the kernel refuses only costs
+// memory, never correctness. The standard syscall package wraps madvise
+// only on linux; elsewhere the release is a no-op.
 func madviseDontNeed(b []byte) {
 	if len(b) > 0 {
 		syscall.Madvise(b, syscall.MADV_DONTNEED)

@@ -2,6 +2,4 @@
 
 package store
 
-func madviseSequential(b []byte) {}
-func madviseWillNeed(b []byte)   {}
-func madviseDontNeed(b []byte)   {}
+func madviseDontNeed(b []byte) {}

@@ -1,73 +1,30 @@
 package store
 
 import (
-	"fmt"
 	"os"
 	"sync/atomic"
 
 	"kvcc/internal/residency"
 )
 
-// Paging policy for mmap'd snapshots. The enumeration layers volunteer
-// access intent through graph.Advisor hints (sequential reduction scans,
-// next-component ranges); the store turns those hints into madvise calls
-// on the mapping, plus MADV_DONTNEED releases when a mapping is retired
-// by a checkpoint. Hints never change results — disabling the policy is
-// always safe, it just makes cold scans pay default readahead.
+// Paging accounting for mmap'd snapshots. The enumeration layers read a
+// mapped graph only by sequential scans and copy out before random
+// access (graph.Materialize); the store's part is to release a mapping's
+// resident pages when a checkpoint retires it, and to make a mapping cold
+// on demand (Evict) for the cold-cache tests and benchmarks. Neither ever
+// changes what a read returns, only what it costs.
 
-// PagingPolicy selects how the store advises the kernel about snapshot
-// mappings.
-type PagingPolicy int
-
-const (
-	// PagingAuto (default) forwards enumeration access hints as madvise
-	// calls and releases retired mappings with MADV_DONTNEED. On
-	// platforms without mmap (or without in-place aliasing) it silently
-	// degrades to PagingOff.
-	PagingAuto PagingPolicy = iota
-	// PagingOff issues no advice at all: the kernel's default readahead
-	// and eviction apply. The A/B baseline for the cold-cache benchmarks.
-	PagingOff
-)
-
-// ParsePagingPolicy parses the -paging flag / config form of a policy:
-// "auto" (or empty) and "off".
-func ParsePagingPolicy(s string) (PagingPolicy, error) {
-	switch s {
-	case "", "auto":
-		return PagingAuto, nil
-	case "off":
-		return PagingOff, nil
-	default:
-		return PagingOff, fmt.Errorf("store: unknown paging policy %q (want auto or off)", s)
-	}
-}
-
-// String returns the flag form of the policy.
-func (p PagingPolicy) String() string {
-	if p == PagingOff {
-		return "off"
-	}
-	return "auto"
-}
-
-// PagingCounters accumulates advice activity across one store's
-// mappings. All fields are updated atomically; enumeration workers
-// advise concurrently.
+// PagingCounters accumulates release and eviction activity across one
+// store's mappings. Fields are updated atomically.
 type PagingCounters struct {
-	SequentialHints atomic.Int64 // MADV_SEQUENTIAL passes issued
-	WillNeedHints   atomic.Int64 // MADV_WILLNEED range hints issued
-	Releases        atomic.Int64 // MADV_DONTNEED releases of retired mappings
-	Evictions       atomic.Int64 // explicit Evict calls (tests, cold benches)
+	Releases  atomic.Int64 // MADV_DONTNEED releases of retired mappings
+	Evictions atomic.Int64 // explicit Evict calls (tests, cold benches)
 }
 
 // PagingStats is the JSON-facing snapshot of a store's paging state:
 // counter values, the live mapping's size and page residency, and the
 // cost of the last snapshot open (header read + CRC + map).
 type PagingStats struct {
-	Policy          string  `json:"policy"`
-	SequentialHints int64   `json:"sequential_hints"`
-	WillNeedHints   int64   `json:"willneed_hints"`
 	Releases        int64   `json:"releases"`
 	Evictions       int64   `json:"evictions"`
 	MappedBytes     int64   `json:"mapped_bytes"`
@@ -75,73 +32,6 @@ type PagingStats struct {
 	TotalPages      int     `json:"total_pages,omitempty"`
 	SnapshotOpenMS  float64 `json:"snapshot_open_ms"`
 	RetiredMappings int     `json:"retired_mappings,omitempty"`
-}
-
-// mapAdvisor implements graph.Advisor for one snapshot mapping. It is
-// attached only when the graph actually aliases the mapping (mmap'd,
-// 64-bit little-endian host); everywhere else the heap copy is what gets
-// read and advice would be pointless.
-type mapAdvisor struct {
-	data     []byte // the whole mapping
-	offsets  []int  // the adopted CSR offsets (alias into data)
-	edgeBase int    // byte offset of the edges section within data
-	counters *PagingCounters
-}
-
-func (a *mapAdvisor) Sequential() {
-	a.counters.SequentialHints.Add(1)
-	madviseSequential(a.data)
-}
-
-func (a *mapAdvisor) WillNeed(lo, hi int) {
-	n := len(a.offsets) - 1
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= n {
-		hi = n - 1
-	}
-	if lo > hi {
-		return
-	}
-	a.counters.WillNeedHints.Add(1)
-	start := a.edgeBase + 8*a.offsets[lo]
-	end := a.edgeBase + 8*a.offsets[hi+1]
-	madviseWillNeed(pageSpan(a.data, start, end))
-}
-
-// pageSpan widens data[start:end) to page boundaries (the mapping base
-// is page-aligned, so aligning the offsets aligns the addresses) and
-// clamps to the mapping, as madvise requires.
-func pageSpan(data []byte, start, end int) []byte {
-	page := os.Getpagesize()
-	start &^= page - 1
-	end = (end + page - 1) &^ (page - 1)
-	if end > len(data) {
-		end = len(data)
-	}
-	if start >= end {
-		return nil
-	}
-	return data[start:end]
-}
-
-// EnablePaging attaches a paging advisor to the snapshot's graph,
-// reporting activity into counters. It is a no-op when the graph does
-// not alias a real mapping (heap fallback platforms). The snapshot keeps
-// the counters for its own Evict/release accounting.
-func (s *Snapshot) EnablePaging(counters *PagingCounters) {
-	s.counters = counters
-	if !mmapSupported || !aliasable || len(s.data) == 0 {
-		return
-	}
-	offsets, _ := s.g.Adjacency()
-	s.g.SetAdvisor(&mapAdvisor{
-		data:     s.data,
-		offsets:  offsets,
-		edgeBase: snapshotHeader + 8*len(offsets),
-		counters: counters,
-	})
 }
 
 // MappedBytes returns the size of the snapshot's backing region (mapped

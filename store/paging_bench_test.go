@@ -14,20 +14,13 @@ var benchComponents int
 
 // BenchmarkEnumerateColdCache measures enumeration against a mapped
 // snapshot whose pages were evicted before every iteration
-// (MADV_DONTNEED plus a page-cache drop), A/B'd across the paging
-// policy. Two workload shapes:
+// (MADV_DONTNEED plus a page-cache drop). Two workload shapes:
 //
 //   - scan: k above every core number, so the run is exactly the k-core
-//     reduction — a pass over the whole cold edge array. This is the
-//     fault-dominated path the ascending-id wave order and
-//     MADV_SEQUENTIAL advice exist for, on a mapping large enough that
-//     readahead policy decides the wall clock.
+//     reduction — a pass over the whole cold edge array, the
+//     fault-dominated path the ascending-id wave order exists for.
 //   - full: a complete k-VCC enumeration on a smaller graph, where the
-//     WILLNEED next-component hints and the flow copy-out boundary are
-//     exercised alongside the reduction.
-//
-// The off/auto gap within each shape is the value of the paging work;
-// the full shape dilutes it with flow compute, by design.
+//     flow copy-out boundary is exercised alongside the reduction.
 func BenchmarkEnumerateColdCache(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -39,38 +32,32 @@ func BenchmarkEnumerateColdCache(b *testing.B) {
 	}
 	for _, shape := range shapes {
 		g := gen.Community(shape.n, shape.m, 7)
-		for _, policy := range []PagingPolicy{PagingOff, PagingAuto} {
-			b.Run(fmt.Sprintf("%s/paging=%s", shape.name, policy), func(b *testing.B) {
-				path := filepath.Join(b.TempDir(), snapshotName)
-				if err := WriteSnapshot(path, g, 1); err != nil {
+		b.Run(shape.name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), snapshotName)
+			if err := WriteSnapshotStream(path, GraphStream(g, 1)); err != nil {
+				b.Fatal(err)
+			}
+			snap, err := OpenSnapshot(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer snap.Close()
+			mapped := snap.Graph()
+			b.SetBytes(snap.MappedBytes())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := snap.Evict(); err != nil {
 					b.Fatal(err)
 				}
-				snap, err := OpenSnapshot(path)
+				b.StartTimer()
+				res, err := kvcc.Enumerate(mapped, shape.k)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer snap.Close()
-				var counters PagingCounters
-				if policy == PagingAuto {
-					snap.EnablePaging(&counters)
-				}
-				mapped := snap.Graph()
-				b.SetBytes(snap.MappedBytes())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					if err := snap.Evict(); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					res, err := kvcc.Enumerate(mapped, shape.k)
-					if err != nil {
-						b.Fatal(err)
-					}
-					benchComponents = len(res.Components)
-				}
-			})
-		}
+				benchComponents = len(res.Components)
+			}
+		})
 	}
 }
 

@@ -37,8 +37,8 @@ func coldSmokeDir(t *testing.T) string {
 func TestColdSmokeGenerate(t *testing.T) {
 	dir := coldSmokeDir(t)
 	g := gen.Community(coldSmokeN, coldSmokeM, 7)
-	if err := WriteSnapshot(filepath.Join(dir, snapshotName), g, 1); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := WriteSnapshotStream(filepath.Join(dir, snapshotName), GraphStream(g, 1)); err != nil {
+		t.Fatalf("WriteSnapshotStream: %v", err)
 	}
 	info, err := os.Stat(filepath.Join(dir, snapshotName))
 	if err != nil {

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -18,21 +16,21 @@ import (
 // hard MADV_DONTNEED plus page-cache drop on Linux), and asserts the
 // re-faulted adjacency is byte-identical to both the pre-eviction copy
 // and the original heap graph. This is the core safety property of the
-// paging layer: advice and eviction may only ever cost time.
+// paging layer: eviction may only ever cost time.
 func TestAdoptEvictRoundTrip(t *testing.T) {
 	var counters PagingCounters
 	for _, tc := range difftest.Corpus() {
 		t.Run(tc.Name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), snapshotName)
-			if err := WriteSnapshot(path, tc.G, 5); err != nil {
-				t.Fatalf("WriteSnapshot: %v", err)
+			if err := WriteSnapshotStream(path, GraphStream(tc.G, 5)); err != nil {
+				t.Fatalf("WriteSnapshotStream: %v", err)
 			}
 			snap, err := OpenSnapshot(path)
 			if err != nil {
 				t.Fatalf("OpenSnapshot: %v", err)
 			}
 			defer snap.Close()
-			snap.EnablePaging(&counters)
+			snap.counters = &counters
 			g := snap.Graph()
 
 			// Copy the adopted arrays while they are warm, then evict and
@@ -71,9 +69,8 @@ func TestAdoptEvictRoundTrip(t *testing.T) {
 // heap-resident, mmap-adopted, and evicted-then-re-faulted — and
 // requires identical component signatures. The adopted and cold paths
 // exercise the copy-out boundary: flow engines must never read the
-// mapping directly, so advice and eviction cannot perturb results.
+// mapping directly, so eviction cannot perturb results.
 func TestThreePathDifferential(t *testing.T) {
-	var counters PagingCounters
 	for _, tc := range difftest.Corpus() {
 		t.Run(tc.Name, func(t *testing.T) {
 			k := 3
@@ -87,15 +84,14 @@ func TestThreePathDifferential(t *testing.T) {
 			want := difftest.Signatures(heap.Components)
 
 			path := filepath.Join(t.TempDir(), snapshotName)
-			if err := WriteSnapshot(path, tc.G, 1); err != nil {
-				t.Fatalf("WriteSnapshot: %v", err)
+			if err := WriteSnapshotStream(path, GraphStream(tc.G, 1)); err != nil {
+				t.Fatalf("WriteSnapshotStream: %v", err)
 			}
 			snap, err := OpenSnapshot(path)
 			if err != nil {
 				t.Fatalf("OpenSnapshot: %v", err)
 			}
 			defer snap.Close()
-			snap.EnablePaging(&counters)
 			g := snap.Graph()
 
 			adopted, err := kvcc.Enumerate(g, k)
@@ -117,103 +113,6 @@ func TestThreePathDifferential(t *testing.T) {
 				t.Fatalf("evict-then-re-fault path diverged at k=%d:\n  got  %v\n  want %v", k, got, want)
 			}
 		})
-	}
-	// The mapped runs must actually have advised: every reduction opens
-	// with a sequential hint. (WILLNEED prefetches fire only when the
-	// reduction peels nothing — otherwise the k-core is already a heap
-	// copy — so they get their own test below.)
-	if mmapSupported && aliasable && counters.SequentialHints.Load() == 0 {
-		t.Fatal("no sequential hints issued across the mapped corpus runs")
-	}
-}
-
-// TestWillNeedPrefetch pins the next-component prefetch on the one
-// shape where it can fire: a mapped graph whose whole k-core survives
-// reduction (zero peeled — any peeling copies the graph to the heap)
-// in several components, so the component loop iterates the mapping
-// directly and advises each next range.
-func TestWillNeedPrefetch(t *testing.T) {
-	if !mmapSupported || !aliasable {
-		t.Skip("prefetch hints require in-place mmap adoption")
-	}
-	// Five disjoint K8 blocks: every degree is 7, so the 3-core is the
-	// whole graph and the five components are visited off the mapping.
-	const blocks, size = 5, 8
-	var edges [][2]int
-	for b := 0; b < blocks; b++ {
-		lo := b * size
-		for i := 0; i < size; i++ {
-			for j := i + 1; j < size; j++ {
-				edges = append(edges, [2]int{lo + i, lo + j})
-			}
-		}
-	}
-	g := graph.FromEdges(blocks*size, edges)
-
-	path := filepath.Join(t.TempDir(), snapshotName)
-	if err := WriteSnapshot(path, g, 1); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := OpenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
-	var counters PagingCounters
-	snap.EnablePaging(&counters)
-
-	res, err := kvcc.Enumerate(snap.Graph(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Components) != blocks {
-		t.Fatalf("got %d components, want %d", len(res.Components), blocks)
-	}
-	// One hint per component that has a successor.
-	if got := counters.WillNeedHints.Load(); got != blocks-1 {
-		t.Fatalf("WILLNEED hints = %d, want %d", got, blocks-1)
-	}
-}
-
-// TestWriteSnapshotStreamMatchesHeap: the streaming writer must produce
-// the byte-identical file the heap writer produces for the same logical
-// graph — same header, same CRCs, same payload — so every snapshot
-// reader and recovery path is automatically shared.
-func TestWriteSnapshotStreamMatchesHeap(t *testing.T) {
-	base := difftest.Corpus()[0].G
-	edits := [][2]int64{{9001, 9002}, {9002, 9003}, {9001, 9003}, {0, 9001}}
-
-	mkDelta := func() *graph.Delta {
-		d := graph.NewDeltaAt(base, 1)
-		for _, e := range edits {
-			d.InsertEdge(e[0], e[1])
-		}
-		d.DeleteEdge(9002, 9003)
-		return d
-	}
-	dStream, dHeap := mkDelta(), mkDelta()
-
-	dir := t.TempDir()
-	streamPath := filepath.Join(dir, "stream.kvcc")
-	heapPath := filepath.Join(dir, "heap.kvcc")
-	if err := WriteSnapshotStream(streamPath, DeltaStream(dStream)); err != nil {
-		t.Fatalf("WriteSnapshotStream: %v", err)
-	}
-	if err := WriteSnapshot(heapPath, dHeap.Compact(), dHeap.Version()); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-
-	streamed, err := os.ReadFile(streamPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heaped, err := os.ReadFile(heapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(streamed, heaped) {
-		t.Fatalf("streamed snapshot differs from heap-written snapshot (%d vs %d bytes)",
-			len(streamed), len(heaped))
 	}
 }
 
@@ -324,8 +223,8 @@ func TestCompactToStoreRoundTrip(t *testing.T) {
 // in-between state: the streamed snapshot has been renamed into place
 // but the WAL was not reset. Recovery must serve the snapshot and skip
 // every WAL record it already folds in — the same invariant the
-// checkpoint path guarantees, inherited because both writers share
-// writeSnapshotAtomic.
+// checkpoint path guarantees, inherited because both write through
+// WriteSnapshotStream.
 func TestCompactToStoreCrashWindow(t *testing.T) {
 	base := difftest.Corpus()[1].G
 	dir := t.TempDir()
@@ -411,7 +310,7 @@ func TestCompactToStoreMemory(t *testing.T) {
 	allocDelta := after.TotalAlloc - before.TotalAlloc
 	offsets, edges := g.Adjacency()
 	heapBytes := uint64(8 * (len(offsets) + len(edges) + len(g.Labels())))
-	// Stream buffer (1 MB) + per-vertex run buffer + idempotency/WAL
+	// Encode buffer (64 KiB) + per-vertex run buffer + idempotency/WAL
 	// bookkeeping. 4 MB leaves slack while staying well under the CSR.
 	const bound = 4 << 20
 	if allocDelta > bound {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
@@ -47,7 +46,7 @@ type Snapshot struct {
 	unmap      func() error
 	closed     bool
 
-	// counters, when set by EnablePaging, receives release/eviction
+	// counters, when set by the owning store, receives release/eviction
 	// accounting; see paging.go.
 	counters *PagingCounters
 }
@@ -56,89 +55,6 @@ type Snapshot struct {
 // the given counts must have.
 func snapshotSize(n, m int64) int64 {
 	return snapshotHeader + 8*((n+1)+2*m+n)
-}
-
-// WriteSnapshot atomically writes g (stamped with the given overlay
-// version) as a snapshot file at path: the bytes land in path+".tmp"
-// first and are fsync'd before a rename makes them visible, so a crash
-// mid-write can never leave a half-written file under the real name.
-func WriteSnapshot(path string, g *graph.Graph, version uint64) error {
-	offsets, edges := g.Adjacency()
-	labels := g.Labels()
-	return writeSnapshotAtomic(path, int64(g.NumVertices()), int64(g.NumEdges()), version,
-		func(w io.Writer, buf []byte) error {
-			if err := writeInts(w, offsets, buf); err != nil {
-				return err
-			}
-			if err := writeInts(w, edges, buf); err != nil {
-				return err
-			}
-			return writeInt64s(w, labels, buf)
-		})
-}
-
-// writeSnapshotAtomic is the shared write skeleton behind WriteSnapshot
-// and WriteSnapshotStream: temp file, zeroed header placeholder, payload
-// streamed through the CRC by writePayload (which receives a 64 KiB
-// scratch buffer), real header written in place, fsync, rename, dirsync.
-// Both failpoints fire here, so the streaming writer inherits exactly
-// the crash windows the snapshot tests probe.
-func writeSnapshotAtomic(path string, n, m int64, version uint64, writePayload func(w io.Writer, buf []byte) error) error {
-	if err := failpoint.Eval("store/snapshot-write"); err != nil {
-		return err
-	}
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-
-	// Single pass: a zeroed header placeholder, then the payload streamed
-	// through the CRC, then the real header written in place.
-	crc := crc64.New(crcTable)
-	w := bufio.NewWriterSize(io.MultiWriter(f, crc), 1<<20)
-	var header [snapshotHeader]byte
-	if _, err := w.Write(header[:]); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := writePayload(w, make([]byte, 64*1024)); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-
-	// The stored payload CRC is defined over (64 zero bytes ++ payload):
-	// the hash ran while the header placeholder was still zeroed, which
-	// keeps the writer single-pass, and Verify replays the same
-	// construction.
-	copy(header[0:8], snapshotMagic)
-	binary.LittleEndian.PutUint32(header[8:12], formatVersion)
-	binary.LittleEndian.PutUint32(header[12:16], 0)
-	binary.LittleEndian.PutUint64(header[16:24], uint64(n))
-	binary.LittleEndian.PutUint64(header[24:32], uint64(m))
-	binary.LittleEndian.PutUint64(header[32:40], version)
-	binary.LittleEndian.PutUint64(header[40:48], crc.Sum64())
-	binary.LittleEndian.PutUint64(header[48:56], crc64.Checksum(header[0:48], crcTable))
-	if _, err := f.WriteAt(header[:], 0); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := failpoint.Eval("store/snapshot-sync"); err != nil {
-		// Simulated crash between writing the temp file and the rename:
-		// the temp stays behind exactly as a dead process would leave it,
-		// and the next Open must sweep it without ever serving it.
-		f.Close()
-		return err
-	}
-	return atomicReplace(f, tmp, path)
 }
 
 // OpenSnapshot maps the snapshot at path and adopts its CSR arrays as a
@@ -229,8 +145,8 @@ func (s *Snapshot) Version() uint64 { return s.version }
 
 // Verify reads the entire payload, checks it against the header's CRC64,
 // and validates the full set of CSR invariants. This is the deep check
-// deliberately left out of OpenSnapshot's O(1) path; tests, the kvccd
-// selftest and suspicious operators call it.
+// deliberately left out of OpenSnapshot's O(1) path; tests and
+// suspicious operators (Options.VerifyOnOpen) call it.
 func (s *Snapshot) Verify() error {
 	crc := crc64.New(crcTable)
 	var zero [snapshotHeader]byte

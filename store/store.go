@@ -20,10 +20,6 @@ type Options struct {
 	// operators set it; the default trusts the header checksum plus the
 	// atomic-rename write protocol.
 	VerifyOnOpen bool
-	// PagingPolicy controls madvise on snapshot mappings: PagingAuto
-	// (zero value) forwards enumeration access hints and releases
-	// retired mappings; PagingOff never advises. See paging.go.
-	PagingPolicy PagingPolicy
 }
 
 // Store is the durability handle for one graph: its snapshot, WAL and
@@ -32,8 +28,7 @@ type Options struct {
 // (Append, Checkpoint) on its edit path and only SaveIndex arrives from
 // another goroutine.
 type Store struct {
-	dir  string
-	opts Options
+	dir string
 
 	mu       sync.Mutex
 	snap     *Snapshot // mapping backing the recovered graph (nil if none)
@@ -51,7 +46,7 @@ type Store struct {
 	// — readers recovered before the swap may still hold their graphs —
 	// with resident pages released; Close unmaps them all.
 	retired []*Snapshot
-	// paging accumulates madvise activity; openMS is the cost of the
+	// paging counts page releases and evictions; openMS is the cost of the
 	// last OpenSnapshot (header read + CRC + map), the measured price of
 	// the O(1) startup claim.
 	paging PagingCounters
@@ -85,7 +80,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		os.Remove(filepath.Join(dir, indexFileName(m)+tmpSuffix))
 	}
 
-	s := &Store{dir: dir, opts: opts}
+	s := &Store{dir: dir}
 	snapPath := filepath.Join(dir, snapshotName)
 	if _, err := os.Stat(snapPath); err == nil {
 		start := time.Now()
@@ -100,9 +95,7 @@ func Open(dir string, opts Options) (*Store, error) {
 				return nil, err
 			}
 		}
-		if opts.PagingPolicy != PagingOff {
-			snap.EnablePaging(&s.paging)
-		}
+		snap.counters = &s.paging
 		s.snap = snap
 		s.g = snap.Graph()
 		s.version = snap.Version()
@@ -249,7 +242,7 @@ func (s *Store) Checkpoint(g *graph.Graph, version uint64) error {
 	if s.destroyed {
 		return fmt.Errorf("store: %s: destroyed", s.dir)
 	}
-	if err := WriteSnapshot(filepath.Join(s.dir, snapshotName), g, version); err != nil {
+	if err := WriteSnapshotStream(filepath.Join(s.dir, snapshotName), GraphStream(g, version)); err != nil {
 		return err
 	}
 	// Retain the keys the truncate below is about to erase from the WAL.
@@ -263,7 +256,7 @@ func (s *Store) Checkpoint(g *graph.Graph, version uint64) error {
 	// The heap graph g replaces whatever the old mapping was backing;
 	// release the mapping's resident pages (it stays valid for readers
 	// that still hold the previous recovered graph — reads re-fault).
-	if s.snap != nil && s.opts.PagingPolicy != PagingOff {
+	if s.snap != nil {
 		s.snap.ReleasePages()
 	}
 	s.g = g
@@ -310,9 +303,7 @@ func (s *Store) CompactToStore(d *graph.Delta, key string) (*graph.Graph, error)
 		return nil, err
 	}
 	s.openMS = float64(time.Since(start)) / float64(time.Millisecond)
-	if s.opts.PagingPolicy != PagingOff {
-		snap.EnablePaging(&s.paging)
-	}
+	snap.counters = &s.paging
 	g := snap.Graph()
 	if err := d.Rebase(g); err != nil {
 		// Impossible unless the stream callbacks disagreed with the
@@ -326,9 +317,7 @@ func (s *Store) CompactToStore(d *graph.Delta, key string) (*graph.Graph, error)
 		return nil, err
 	}
 	if s.snap != nil {
-		if s.opts.PagingPolicy != PagingOff {
-			s.snap.ReleasePages()
-		}
+		s.snap.ReleasePages()
 		s.retired = append(s.retired, s.snap)
 	}
 	s.snap = snap
@@ -349,8 +338,8 @@ func (s *Store) Snapshot() *Snapshot {
 	return s.snap
 }
 
-// PagingStats reports the store's paging activity, live-mapping size and
-// residency, and the cost of the last snapshot open.
+// PagingStats reports the store's page releases and evictions, the live
+// mapping's size and residency, and the cost of the last snapshot open.
 func (s *Store) PagingStats() PagingStats {
 	s.mu.Lock()
 	snap := s.snap
@@ -358,9 +347,6 @@ func (s *Store) PagingStats() PagingStats {
 	openMS := s.openMS
 	s.mu.Unlock()
 	ps := PagingStats{
-		Policy:          s.opts.PagingPolicy.String(),
-		SequentialHints: s.paging.SequentialHints.Load(),
-		WillNeedHints:   s.paging.WillNeedHints.Load(),
 		Releases:        s.paging.Releases.Load(),
 		Evictions:       s.paging.Evictions.Load(),
 		SnapshotOpenMS:  openMS,

@@ -41,8 +41,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, tc := range difftest.Corpus() {
 		t.Run(tc.Name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), snapshotName)
-			if err := WriteSnapshot(path, tc.G, 7); err != nil {
-				t.Fatalf("WriteSnapshot: %v", err)
+			if err := WriteSnapshotStream(path, GraphStream(tc.G, 7)); err != nil {
+				t.Fatalf("WriteSnapshotStream: %v", err)
 			}
 			snap, err := OpenSnapshot(path)
 			if err != nil {
@@ -63,8 +63,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotEmptyGraph(t *testing.T) {
 	empty := graph.FromEdges(0, nil)
 	path := filepath.Join(t.TempDir(), snapshotName)
-	if err := WriteSnapshot(path, empty, 1); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := WriteSnapshotStream(path, GraphStream(empty, 1)); err != nil {
+		t.Fatalf("WriteSnapshotStream: %v", err)
 	}
 	snap, err := OpenSnapshot(path)
 	if err != nil {
@@ -87,8 +87,8 @@ func TestSnapshotDamage(t *testing.T) {
 	g := difftest.Corpus()[0].G
 	dir := t.TempDir()
 	path := filepath.Join(dir, snapshotName)
-	if err := WriteSnapshot(path, g, 3); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := WriteSnapshotStream(path, GraphStream(g, 3)); err != nil {
+		t.Fatalf("WriteSnapshotStream: %v", err)
 	}
 
 	flip := func(t *testing.T, off int64) string {
@@ -363,7 +363,7 @@ func TestStoreCrashBetweenSnapshotAndTruncate(t *testing.T) {
 
 	// Simulate the torn checkpoint: write the new snapshot directly,
 	// leaving the WAL untouched.
-	if err := WriteSnapshot(filepath.Join(dir, snapshotName), want, wantVersion); err != nil {
+	if err := WriteSnapshotStream(filepath.Join(dir, snapshotName), GraphStream(want, wantVersion)); err != nil {
 		t.Fatal(err)
 	}
 
