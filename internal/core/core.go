@@ -266,12 +266,13 @@ type workspace struct {
 
 // certificate returns the sparse certificate used for the flow tests on
 // component g. When m <= k(n-1) — the CKT edge bound — the certificate
-// cannot be asymptotically smaller than the component itself, so the k
-// rounds of scan-first search are pure overhead: the component doubles
+// cannot be asymptotically smaller than the component itself, so its
+// construction (one decomposition pass plus a copy of the kept edges
+// into a new graph) buys no smaller flow networks: the component doubles
 // as its own certificate (GLOBAL-CUT on the raw graph is always correct;
 // the certificate is strictly a flow-size optimization). The trivial
 // certificate carries no side groups, so the group sweep degrades
-// gracefully to no pruning on such components.
+// gracefully to no pruning on such components. See docs/DESIGN.md.
 func (ws *workspace) certificate(g *graph.Graph, k int) *sparse.Certificate {
 	n := g.NumVertices()
 	if g.NumEdges() > sparse.EdgeBound(k, n) {

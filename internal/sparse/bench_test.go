@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -23,14 +24,17 @@ func benchGraph(n int, p float64, seed int64) *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
-// BenchmarkCompute measures certificate construction (k scan-first
-// passes), paid once per GLOBAL-CUT call.
+// BenchmarkCompute measures certificate construction, paid once per
+// GLOBAL-CUT call on a component above the k(n-1) edge bound. The
+// decomposition pass meets each of the 42k edges once whatever k is; what
+// still grows with k is building the SC graph from the edges it keeps
+// (about 10k at k=5, 34k at k=20 and 42k at k=30), so time tracks the
+// certificate's size, not k passes over the whole graph.
 func BenchmarkCompute(b *testing.B) {
-	for _, k := range []int{5, 20} {
-		b.Run(map[int]string{5: "k=5", 20: "k=20"}[k], func(b *testing.B) {
-			g := benchGraph(2000, 0.02, 1)
+	g := benchGraph(2000, 0.02, 1)
+	for _, k := range []int{5, 20, 30} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Compute(g, k)
 			}

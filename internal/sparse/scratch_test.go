@@ -48,8 +48,8 @@ func TestComputeScratchMatchesCompute(t *testing.T) {
 }
 
 // With a warmed-up Scratch, the only remaining allocations are the
-// certificate graph itself (and its wrapper struct) — the eids table,
-// cursors, round state, union-find, and group member storage must all be
+// certificate graph itself (and its wrapper struct) — the bucket queue,
+// certificate edge list, union-find, and group member storage must all be
 // reused.
 func TestComputeScratchSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

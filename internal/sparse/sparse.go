@@ -1,7 +1,6 @@
-// Package sparse computes sparse certificates for k-vertex connectivity via
-// scan-first search (Cheriyan–Kao–Thurimella; Theorem 5 of the paper) and
-// extracts the side-groups used by the group-sweep optimization
-// (Theorem 10).
+// Package sparse computes sparse certificates for k-vertex connectivity
+// (Cheriyan–Kao–Thurimella; Theorem 5 of the paper) and extracts the
+// side-groups used by the group-sweep optimization (Theorem 10).
 //
 // A sparse certificate SC is a spanning subgraph with at most k(n-1) edges
 // that preserves k-vertex connectivity: SC is k-connected iff G is. The CKT
@@ -11,6 +10,29 @@
 // and G into identical vertex partitions, so a (<k)-cut found on SC is a
 // (<k)-cut of G, and local connectivities below k agree between the two
 // graphs. GLOBAL-CUT therefore runs entirely on SC.
+//
+// CKT define SC as F_1 ∪ ... ∪ F_k, where each F_i is a scan-first search
+// forest of G - F_1 - ... - F_{i-1}. Running k searches costs O(k·m);
+// the Nagamochi–Ibaraki forest decomposition (Algorithmica 7, 1992)
+// builds all k forests in one O(n+m) pass instead. Every vertex x carries
+// a label r(x), the number of its already-scanned neighbours. The pass
+// repeatedly scans the unscanned vertex of largest label; scanning x puts
+// each edge to an unscanned y into forest F_{r(y)+1} and then increments
+// r(y). Each F_i is then a scan-first forest of G - F_1 - ... - F_{i-1}:
+// y is marked in the i-th search exactly when r(y) >= i, scanning x
+// claims the F_i edges to the unmarked y with r(y) = i-1, and max-label
+// selection scans a marked vertex whenever one is left (a new root is
+// started only when every unscanned label is below i). So the result is
+// the CKT construction under one particular scan order, and every theorem
+// the engine relies on — the certificate property, κ_SC >= k across
+// dropped edges, and Theorem 10's side groups — holds unchanged.
+//
+// Only F_1..F_k are kept, which lets the priority be capped at k: the
+// scan-first argument above needs "some unscanned vertex has r >= i
+// implies the picked vertex has r >= i" only for i <= k, and min(r, k)
+// preserves it. The bucket queue therefore has k+1 buckets, and an edge
+// to a vertex whose label has reached k (it would join F_{k+1} or later)
+// is skipped with no bookkeeping.
 package sparse
 
 import "kvcc/graph"
@@ -43,20 +65,18 @@ func EdgeBound(k, n int) int {
 }
 
 // Scratch carries the construction buffers of ComputeScratch across
-// calls: the per-edge id table and its fill cursors, the forest/BFS state
-// of the scan-first rounds, and the union-find plus flat member storage
-// behind the side groups. The enumeration recursion computes one
-// certificate per component at every level, so reusing one Scratch per
-// worker removes every per-call allocation except the certificate graph
-// itself. The zero value is ready to use; a Scratch is not safe for
-// concurrent use.
+// calls: the labels and bucket lists of the forest decomposition, the
+// certificate edges with their forest indices, and the union-find plus
+// flat member storage behind the side groups. The enumeration recursion
+// computes one certificate per component at every level, so reusing one
+// Scratch per worker removes every per-call allocation except the
+// certificate graph itself. The zero value is ready to use; a Scratch is
+// not safe for concurrent use.
 type Scratch struct {
-	eids      []int32
-	cursor    []int
-	used      []bool
-	marked    []bool
-	queue     []int
+	nodes     []bucketNode
+	heads     []int32
 	certEdges [][2]int
+	forest    []int32
 
 	// sideGroups state. groupID, members and groups back the returned
 	// Certificate, which therefore stays valid only until the next
@@ -68,16 +88,17 @@ type Scratch struct {
 	groups  [][]int
 }
 
+// bucketNode is one vertex's entry in the bucket queue: its capped label
+// r(v) (-1 once scanned) and its links in the list of vertices sharing
+// that label. Keeping the three in one record lets a label update and its
+// relink touch one place in memory instead of three arrays.
+type bucketNode struct {
+	label, prev, next int32
+}
+
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
 	}
 	return s[:n]
 }
@@ -88,17 +109,14 @@ func Compute(g *graph.Graph, k int) *Certificate {
 	return ComputeScratch(g, k, nil)
 }
 
-// ComputeScratch builds the sparse certificate of g for parameter k by
-// running k rounds of scan-first search, reusing s's buffers (a nil s
-// uses fresh ones). Round i builds a spanning forest F_i of the graph
-// G_{i-1} = (V, E - F_1 - ... - F_{i-1}); the certificate is the union of
-// the k forests.
-//
-// All per-round scratch (the BFS queue, the forest edge accumulator) is
-// carried across rounds, and edge ids live in one flat array parallel to
-// the graph's CSR edge array, so the whole construction performs a
-// constant number of allocations regardless of round count — and, with a
-// warmed-up Scratch, none beyond the certificate graph itself.
+// ComputeScratch builds the sparse certificate of g for parameter k,
+// reusing s's buffers (a nil s uses fresh ones). One Nagamochi–Ibaraki
+// scan of g (see the package comment) decomposes its edges into the
+// forests F_1..F_k, each a scan-first forest of G - F_1 - ... - F_{i-1};
+// the certificate is their union and the side groups come from F_k. The
+// pass meets each edge once, from whichever endpoint is scanned first, so
+// the cost is O(n+m) whatever k is, and with a warmed-up Scratch the only
+// allocations are the certificate graph itself.
 //
 // The returned Certificate's SideGroups and GroupID are backed by s and
 // are valid only until the next ComputeScratch call with the same s; the
@@ -110,130 +128,126 @@ func ComputeScratch(g *graph.Graph, k int, s *Scratch) *Certificate {
 	if s == nil {
 		s = &Scratch{}
 	}
-	n := g.NumVertices()
-	offsets, adj := g.Adjacency()
-
-	// Assign every undirected edge an id so forests can mark edges used.
-	// eids is parallel to the flat CSR edge array: eids[offsets[v]+i] is
-	// the id of the edge to g.Neighbors(v)[i].
-	if cap(s.eids) < len(adj) {
-		s.eids = make([]int32, len(adj))
-	}
-	eids := s.eids[:len(adj)]
-	cursor := growInts(s.cursor, n)
-	s.cursor = cursor
-	copy(cursor, offsets[:n])
-	next := int32(0)
-	// Two-pointer pass: for u < v assign a fresh id and record it on both
-	// endpoints. The position of u in v's run is found by walking v's
-	// cursor once across the whole pass (runs are sorted, and u visits v
-	// in increasing order).
-	for u := 0; u < n; u++ {
-		for i, v := range adj[offsets[u]:offsets[u+1]] {
-			if u < v {
-				id := next
-				next++
-				eids[offsets[u]+i] = id
-				for adj[cursor[v]] != u {
-					cursor[v]++
-				}
-				eids[cursor[v]] = id
-			}
-		}
-	}
-
-	used := growBools(s.used, g.NumEdges())
-	s.used = used
-	clear(used)
-	marked := growBools(s.marked, n)
-	s.marked = marked
-	queue := s.queue[:0]
-	certEdges := s.certEdges[:0]
-	lastStart := -1 // start of F_k within certEdges, or -1 if never built
-
-	for round := 0; round < k; round++ {
-		roundStart := len(certEdges)
-		certEdges, queue = scanFirstForest(g, offsets, adj, eids, used, marked, queue, certEdges)
-		if len(certEdges) == roundStart {
-			break // remaining graph has no edges; later forests are empty
-		}
-		if round == k-1 {
-			lastStart = roundStart
-		}
-	}
-	s.queue = queue
-	s.certEdges = certEdges
-	var lastForest [][2]int
-	if lastStart >= 0 {
-		lastForest = certEdges[lastStart:]
-	}
-	sc := g.SpanningSubgraph(certEdges)
-	groups, groupID := sideGroups(n, lastForest, k, s)
+	decompose(g, k, s)
+	sc := g.SpanningSubgraph(s.certEdges)
+	groups, groupID := sideGroups(g.NumVertices(), k, s)
 	return &Certificate{SC: sc, SideGroups: groups, GroupID: groupID}
 }
 
-// scanFirstForest performs one scan-first search over the edges not yet
-// used, marking the forest edges it takes as used and appending them to
-// forest. It returns the grown forest and queue slices so their capacity
-// carries over to the next round. A BFS scan order is used (BFS is a
-// scan-first search).
-func scanFirstForest(g *graph.Graph, offsets, adj []int, eids []int32, used, marked []bool, queue []int, forest [][2]int) ([][2]int, []int) {
+// decompose runs the capped Nagamochi–Ibaraki scan of g, leaving the
+// edges of F_1 ∪ ... ∪ F_k in s.certEdges and, parallel to them, each
+// edge's forest index (1..k) in s.forest.
+func decompose(g *graph.Graph, k int, s *Scratch) {
 	n := g.NumVertices()
-	clear(marked)
-	for root := 0; root < n; root++ {
-		if marked[root] {
-			continue
+	offsets, adj := g.Adjacency()
+
+	// A label never exceeds n-1, so capping it at min(k, n) instead of k
+	// changes nothing and bounds the bucket count by n+1 for any k.
+	limit := int32(min(k, n))
+	nb := int(limit) + 1
+	if cap(s.heads) < nb {
+		s.heads = make([]int32, nb)
+	}
+	heads := s.heads[:nb]
+	for i := range heads {
+		heads[i] = -1
+	}
+	if cap(s.nodes) < n {
+		s.nodes = make([]bucketNode, n)
+	}
+	nodes := s.nodes[:n]
+	// Every vertex starts in bucket 0, in ascending order, so a new root
+	// is always the smallest unscanned id.
+	for v := range nodes {
+		nodes[v] = bucketNode{label: 0, prev: int32(v) - 1, next: int32(v) + 1}
+	}
+	if n > 0 {
+		nodes[n-1].next = -1
+		heads[0] = 0
+	}
+
+	certEdges := s.certEdges[:0]
+	forest := s.forest[:0]
+	top := 0
+	for range n {
+		for heads[top] < 0 {
+			top--
 		}
-		marked[root] = true
-		queue = append(queue[:0], root)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			base := offsets[v]
-			for i, w := range adj[base:offsets[v+1]] {
-				if used[eids[base+i]] || marked[w] {
-					continue
-				}
-				marked[w] = true
-				used[eids[base+i]] = true
-				forest = append(forest, [2]int{v, w})
-				queue = append(queue, w)
+		x := heads[top]
+		nx := &nodes[x]
+		heads[top] = nx.next
+		if nx.next >= 0 {
+			nodes[nx.next].prev = -1
+		}
+		nx.label = -1
+		for _, y := range adj[offsets[x]:offsets[x+1]] {
+			ny := &nodes[y]
+			r := ny.label
+			// Skip y if scanned (r < 0) or capped: the edge would join F_{k+1}
+			// or a later forest.
+			if uint32(r) >= uint32(limit) {
+				continue
 			}
+			certEdges = append(certEdges, [2]int{int(x), y})
+			forest = append(forest, r+1)
+			// Move y from bucket r to bucket r+1.
+			if ny.prev >= 0 {
+				nodes[ny.prev].next = ny.next
+			} else {
+				heads[r] = ny.next
+			}
+			if ny.next >= 0 {
+				nodes[ny.next].prev = ny.prev
+			}
+			r++
+			ny.label, ny.prev, ny.next = r, -1, heads[r]
+			if heads[r] >= 0 {
+				nodes[heads[r]].prev = int32(y)
+			}
+			heads[r] = int32(y)
+			top = max(top, int(r))
 		}
 	}
-	return forest, queue
+	s.certEdges = certEdges
+	s.forest = forest
 }
 
-// sideGroups groups vertices by connected component of the k-th forest and
-// keeps components with more than k vertices (smaller groups cannot trigger
-// the group-deposit rule, Theorem 11, and are ignored as in Section 5.3).
-// The returned slices are backed by s.
-func sideGroups(n int, forest [][2]int, k int, s *Scratch) ([][]int, []int) {
+// sideGroups groups vertices by connected component of the k-th forest
+// (the edges of s.certEdges whose forest index is k) and keeps components with more than
+// k vertices (smaller groups cannot trigger the group-deposit rule,
+// Theorem 11, and are ignored as in Section 5.3). The returned slices are
+// backed by s.
+func sideGroups(n, k int, s *Scratch) ([][]int, []int) {
 	groupID := growInts(s.groupID, n)
 	s.groupID = groupID
 	for i := range groupID {
 		groupID[i] = -1
-	}
-	if len(forest) == 0 {
-		return nil, groupID
 	}
 	parent := growInts(s.parent, n)
 	s.parent = parent
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	for _, e := range forest {
+	lastForest := false
+	for i, e := range s.certEdges {
+		if int(s.forest[i]) != k {
+			continue
+		}
+		lastForest = true
 		ra, rb := find(e[0]), find(e[1])
 		if ra != rb {
 			parent[ra] = rb
 		}
+	}
+	if !lastForest {
+		return nil, groupID
 	}
 	// Bucket members by root without a map: count component sizes, then
 	// assign group ids in one ascending scan (so groups come out ordered

@@ -232,11 +232,9 @@ func TestCertificateEmptyAndTinyGraphs(t *testing.T) {
 }
 
 // TestComputeScratchCarriesAcrossRounds is the allocation-regression guard
-// for the per-round scratch: edge ids live in one flat array parallel to
-// the graph's CSR edges, and the BFS queue and forest accumulator survive
-// from round to round, so the allocation count of Compute must stay
-// essentially flat as k (the round count) grows. The old implementation
-// allocated a fresh eid slice per vertex and a fresh forest per round.
+// for the construction scratch: one decomposition pass fills a fixed set
+// of buffers whatever k is, so the allocation count of Compute must stay
+// essentially flat as k grows.
 func TestComputeScratchCarriesAcrossRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := randomConnectedGraph(300, 0.1, rng)
