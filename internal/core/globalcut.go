@@ -60,9 +60,9 @@ func (e *enumerator) findCutBasic(g *graph.Graph, stats *Stats, ws *workspace) [
 // the raw component without a sparse certificate, so any cut it finds is a
 // cut of the component by construction.
 func (e *enumerator) findCutRaw(g *graph.Graph, stats *Stats, ws *workspace) []int {
-	// Deliberately stays on Dinic: this path only runs after a cut
-	// validation failure, where predictable, engine-independent behavior
-	// matters more than speed.
+	// No certificate and no sweeps: this path only runs after a cut
+	// validation failure, where predictable behavior matters more than
+	// speed.
 	nw := flow.NewNetworkScratch(g, e.k, &ws.flow)
 	defer func() { stats.FlowRuns += nw.FlowRuns }()
 	u, _ := g.MinDegreeVertex()

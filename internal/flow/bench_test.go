@@ -23,8 +23,9 @@ func benchGraph(n int, p float64, seed int64) *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
-// BenchmarkNetworkBuild measures split-graph construction (done once per
-// GLOBAL-CUT call).
+// BenchmarkNetworkBuild measures network construction (done once per
+// GLOBAL-CUT call). The split graph is implicit in the CSR, so the build
+// is an O(n) reset of the flow state.
 func BenchmarkNetworkBuild(b *testing.B) {
 	g := benchGraph(500, 0.05, 1)
 	b.ReportAllocs()

@@ -8,28 +8,41 @@
 // then equals the local vertex connectivity κ(u,v) for non-adjacent u,v
 // (Menger's theorem).
 //
-// Deviation from the paper's description, documented in docs/DESIGN.md: the
-// paper assigns capacity one to all arcs; we assign capacity `bound` to the
-// adjacency arcs instead. Flow values below `bound` are unchanged (an
-// adjacency arc can never carry more than one unit anyway, because its tail
-// out(u) receives at most one unit through in(u) → out(u)), but every cut
-// of value < bound now consists purely of vertex arcs, which makes
-// extracting the vertex cut from the residual graph unambiguous.
+// # The implicit split graph
 //
-// Augmentation stops as soon as the flow value reaches `bound`
+// The split graph is never built. Its arcs come from the graph's own CSR
+// and its flow lives on the vertices: unit vertex capacities let every
+// vertex other than the endpoints carry at most one path, so the flow is
+// prev[v], the vertex the flow into v comes from, −1 when v carries none.
+// The sink's in-flow is multi-valued and not stored. Where the flow out of
+// v goes is never needed, because the residual arcs follow from prev alone:
+//
+//   - out(x) → in(y) for every neighbour y, always;
+//   - out(x) → in(x) iff x carries flow;
+//   - in(y) → out(y) iff y carries no flow;
+//   - in(y) → out(prev[y]) iff y carries flow.
+//
+// Adjacency arcs are unbounded where the paper gives them capacity one.
+// No flow value changes, because an adjacency arc out(x) → in(y) carries
+// at most the one unit in(y) can pass on; but every finite cut now
+// consists of vertex arcs, so the vertex cut is read off the residual
+// graph without case analysis. That cut is the same for every maximum
+// flow (docs/DESIGN.md, "The implicit split graph").
+//
+// Augmentation stops as soon as the flow value reaches the query's limit
 // (the algorithm only ever asks "is κ(u,v) ≥ k?"), which keeps each test in
 // O(min(n^1/2, k) · m) in the spirit of Even–Tarjan.
 //
 // # Zero-reset queries
 //
 // A bounded query pushes at most `bound` units of flow and touches only
-// the arcs on its ≤ bound augmenting paths, so the per-query cost must be
-// proportional to that work — not to the size of the network. Two
+// the vertices on its ≤ bound augmenting paths, so the per-query cost must
+// be proportional to that work — not to the size of the graph. Two
 // mechanisms enforce this (docs/DESIGN.md, "The zero-reset flow engine"):
 //
-//   - residual capacities are restored by replaying a touched-arc undo
-//     log (each arc is recorded once per query, deduplicated by an epoch
-//     stamp) instead of copying the whole capacity array;
+//   - the flow state is cleared by replaying a touched-vertex log (each
+//     vertex is recorded once per query, deduplicated by an epoch stamp)
+//     instead of resetting prev wholesale;
 //   - the per-node level and current-arc scratch is generation-stamped:
 //     each entry packs a 32-bit generation next to its 32-bit value in
 //     one uint64, so bumping a counter invalidates the whole array in
@@ -42,60 +55,57 @@ import (
 	"kvcc/graph"
 )
 
-// Network is a reusable max-flow network over the split graph of one
-// undirected graph. A single Network serves many source/sink pairs; a
+// Network is a reusable max-flow network over the implicit split graph of
+// one undirected graph. A single Network serves many source/sink pairs; a
 // query's cost is proportional to the flow work it performs, not to the
-// network size, because all mutable state is epoch-stamped or undo-logged
+// graph size, because all mutable state is epoch-stamped or undo-logged
 // (see the package comment). Obtain a heap-free pooled Network with
 // NewNetworkScratch. A Network is not safe for concurrent use.
 type Network struct {
-	g     *graph.Graph
-	bound int
+	g       *graph.Graph
+	offsets []int // g's CSR: the arcs out(x) → in(y) of out(x) are
+	edges   []int // edges[offsets[x]:offsets[x+1]]
+	bound   int
 
-	// CSR arc storage, grouped by tail node: the arcs out of node are
-	// arcHead[arcStart[node]:arcStart[node+1]] (and the parallel slices
-	// of arcCap/arcInit/arcRev). Grouping by tail makes every adjacency
-	// scan a sequential walk over the arc arrays — no per-arc index
-	// indirection — at the cost of an explicit reverse-arc table, which
-	// only augmentations (not scans) consult.
-	arcHead  []int32 // head node of each arc
-	arcCap   []int32 // residual capacity (mutated by queries)
-	arcInit  []int32 // initial capacity (undo target)
-	arcRev   []int32 // the paired reverse arc
-	arcStart []int32
+	// Flow state per vertex, −1 for none (see the package comment).
+	prev []int32
 
-	// Touched-arc undo log: every arc whose residual capacity changes is
-	// recorded once per query (first touch wins, deduplicated by
-	// arcStamp), and the next query restores exactly those arcs from
-	// arcInit instead of copying the whole capacity array.
-	undoLog  []int32
-	arcStamp []int32
-	arcGen   int32
+	// Touched-vertex log: every vertex whose prev is set is
+	// recorded once per query (first touch wins, deduplicated by stamp),
+	// and the next query clears exactly those vertices.
+	touched []int32
+	stamp   []int32
+	epoch   int32
 
-	// Per-node scratch. Each entry packs (generation << 32) | value; an
-	// entry is valid iff its generation half equals the current counter,
-	// so none of these arrays is ever cleared.
+	// Per-node scratch over the 2n split nodes in(v) = 2v, out(v) = 2v+1.
+	// Each entry packs (generation << 32) | value; an entry is valid iff
+	// its generation half equals the current counter, so none of these
+	// arrays is ever cleared.
 	level []uint64 // BFS level of the Dinic level graph
-	iter  []uint64 // current-arc cursor, an absolute arc id (an unstamped read means arcStart[node])
+	iter  []uint64 // current-arc cursor; see dfsAugment
 
 	levelGen uint32
 	iterGen  uint32
 
-	queue    []int32
-	dfsStack []dfsFrame
+	queue []int32
+	stack []int32
 
 	// FlowRuns counts the number of max-flow computations executed
 	// (LOC-CUT invocations that were not short-circuited).
 	FlowRuns int64
 }
 
-type dfsFrame struct {
-	node int32
-	arc  int32 // arc taken from this node (valid once advanced)
-}
-
 func inNode(v int) int32  { return int32(2 * v) }
 func outNode(v int) int32 { return int32(2*v + 1) }
+
+// inArc returns the head of in(x)'s one residual arc: back along the flow
+// into x if x carries flow, else across the vertex arc to out(x).
+func inArc(prev []int32, x int) int32 {
+	if p := prev[x]; p >= 0 {
+		return outNode(int(p))
+	}
+	return outNode(x)
+}
 
 // pack builds a stamped scratch entry; stamped tests an entry's stamp.
 func pack(gen, val uint32) uint64       { return uint64(gen)<<32 | uint64(val) }
@@ -105,9 +115,9 @@ func stamped(e uint64, gen uint32) bool { return uint32(e>>32) == gen }
 // graph by a dead-ended DFS; it can never equal a real level + 1.
 const deadLevel = ^uint32(0)
 
-// NewNetwork builds the directed flow graph of g with early-termination
-// bound `bound` (normally k). bound must be >= 1. For a pooled network
-// with zero steady-state build allocations use NewNetworkScratch.
+// NewNetwork builds the flow network of g with early-termination bound
+// `bound` (normally k). bound must be >= 1. For a pooled network with zero
+// steady-state build allocations use NewNetworkScratch.
 func NewNetwork(g *graph.Graph, bound int) *Network {
 	return NewNetworkScratch(g, bound, &Scratch{})
 }
@@ -129,27 +139,27 @@ func nextGen(gen *uint32, packed []uint64) uint32 {
 	return *gen
 }
 
-// undo rolls the residual capacities of the arcs touched by the previous
-// query back to their initial values and opens a new touch epoch. Cost:
-// O(arcs actually modified since the last undo).
+// undo clears the flow state of the vertices touched by the previous
+// query and opens a new touch epoch. Cost: O(vertices touched since the
+// last undo).
 func (nw *Network) undo() {
-	for _, a := range nw.undoLog {
-		nw.arcCap[a] = nw.arcInit[a]
+	for _, v := range nw.touched {
+		nw.prev[v] = -1
 	}
-	nw.undoLog = nw.undoLog[:0]
-	if nw.arcGen == int32(^uint32(0)>>1) { // MaxInt32: recycle stamps
-		clear(nw.arcStamp[:cap(nw.arcStamp)])
-		nw.arcGen = 0
+	nw.touched = nw.touched[:0]
+	if nw.epoch == int32(^uint32(0)>>1) { // MaxInt32: recycle stamps
+		clear(nw.stamp[:cap(nw.stamp)])
+		nw.epoch = 0
 	}
-	nw.arcGen++
+	nw.epoch++
 }
 
-// touch records arc a in the undo log the first time its residual
-// capacity changes within the current query.
-func (nw *Network) touch(a int32) {
-	if nw.arcStamp[a] != nw.arcGen {
-		nw.arcStamp[a] = nw.arcGen
-		nw.undoLog = append(nw.undoLog, a)
+// touch records vertex v in the undo log the first time its flow state
+// changes within the current query.
+func (nw *Network) touch(v int32) {
+	if nw.stamp[v] != nw.epoch {
+		nw.stamp[v] = nw.epoch
+		nw.touched = append(nw.touched, v)
 	}
 }
 
@@ -166,9 +176,7 @@ func (nw *Network) MinVertexCut(u, v int) (cut []int, connectivity int, atLeastB
 // limit that may be tighter than the network's bound: augmentation stops
 // as soon as `limit` units flow, so a caller that already holds a cut of
 // size c can probe further pairs with limit = c and pay nothing for flow
-// beyond a known-worse answer. limit must be in [1, Bound()]; the upper
-// restriction keeps every cut below the limit vertex-only (the adjacency
-// arcs carry capacity Bound()).
+// beyond a known-worse answer. limit must be in [1, Bound()].
 func (nw *Network) MinVertexCutLimit(u, v, limit int) (cut []int, connectivity int, atLeastLimit bool) {
 	if limit < 1 || limit > nw.bound {
 		panic("flow: limit must be in [1, bound]")
@@ -178,44 +186,47 @@ func (nw *Network) MinVertexCutLimit(u, v, limit int) (cut []int, connectivity i
 	}
 	nw.FlowRuns++
 	nw.undo()
-	src, dst := outNode(u), inNode(v)
-	value := nw.maxFlowDinic(src, dst, limit)
+	value := 0
+	for value < limit && nw.bfsLevels(outNode(u), inNode(v)) {
+		value += nw.blockingFlow(outNode(u), inNode(v), limit-value)
+	}
 	if value >= limit {
 		return nil, limit, true
 	}
-	cut = nw.extractCut(src, value)
-	return cut, value, false
-}
-
-// maxFlowDinic augments by blocking flows over BFS level graphs until
-// `limit` units flow or no augmenting path remains.
-func (nw *Network) maxFlowDinic(src, dst int32, limit int) int {
-	value := 0
-	for value < limit && nw.bfsLevels(src, dst) {
-		value += nw.blockingFlow(src, dst, limit-value)
-	}
-	return value
+	return nw.extractCut(value), value, false
 }
 
 // bfsLevels builds the Dinic level graph; reports whether dst is reachable.
+// When it is not, the current level generation marks exactly the
+// residual-reachable nodes and nw.queue lists them.
 func (nw *Network) bfsLevels(src, dst int32) bool {
 	// Hoist the hot arrays into locals: the queue append below would
 	// otherwise force a reload of every nw field each iteration.
-	arcStart, arcCap, arcHead, level := nw.arcStart, nw.arcCap, nw.arcHead, nw.level
+	offsets, edges, prev, level := nw.offsets, nw.edges, nw.prev, nw.level
 	gen := nextGen(&nw.levelGen, level)
 	level[src] = pack(gen, 0)
 	queue := append(nw.queue[:0], src)
 	defer func() { nw.queue = queue }()
 	for head := 0; head < len(queue); head++ {
 		node := queue[head]
-		next := uint32(level[node]) + 1
-		for a, end := arcStart[node], arcStart[node+1]; a < end; a++ {
-			if arcCap[a] <= 0 {
-				continue
+		lv := pack(gen, uint32(level[node])+1)
+		x := int(node >> 1)
+		if node&1 == 0 {
+			// in(x)'s one residual arc never leads to the sink.
+			if to := inArc(prev, x); !stamped(level[to], gen) {
+				level[to] = lv
+				queue = append(queue, to)
 			}
-			to := arcHead[a]
+			continue
+		}
+		if prev[x] >= 0 && !stamped(level[inNode(x)], gen) {
+			level[inNode(x)] = lv // the sink never carries a prev
+			queue = append(queue, inNode(x))
+		}
+		for _, y := range edges[offsets[x]:offsets[x+1]] {
+			to := inNode(y)
 			if !stamped(level[to], gen) {
-				level[to] = pack(gen, next)
+				level[to] = lv
 				if to == dst {
 					return true
 				}
@@ -229,116 +240,120 @@ func (nw *Network) bfsLevels(src, dst int32) bool {
 // blockingFlow augments along the level graph until no augmenting path
 // remains or `limit` units have been sent.
 func (nw *Network) blockingFlow(src, dst int32, limit int) int {
-	nw.iterGen = nextGen(&nw.iterGen, nw.iter)
+	nextGen(&nw.iterGen, nw.iter)
 	total := 0
-	for total < limit {
-		if nw.dfsAugment(src, dst) == 0 {
-			break
-		}
+	for total < limit && nw.dfsAugment(src, dst) {
 		total++
 	}
 	return total
 }
 
-// curArc returns the current-arc cursor of node (an absolute arc id),
-// materializing the lazy reset to the node's first arc on its first read
-// in this blocking phase. Callers must write the advanced cursor back to
-// nw.iter[node] themselves.
-func (nw *Network) curArc(node int32) uint32 {
-	e := nw.iter[node]
-	if !stamped(e, nw.iterGen) {
-		return uint32(nw.arcStart[node])
-	}
-	return uint32(e)
-}
-
-// dfsAugment finds one unit augmenting path in the level graph (all paths
-// here carry exactly one unit because every path crosses a unit vertex
-// arc). Iterative DFS with the standard current-arc optimization; the
-// cursor lives in a register during the advance scan and is stored back
-// once per frame visit.
-func (nw *Network) dfsAugment(src, dst int32) int {
-	arcCap, arcHead, level, iter := nw.arcCap, nw.arcHead, nw.level, nw.iter
+// dfsAugment finds one augmenting path in the level graph and pushes one
+// unit along it (every path carries exactly one unit, because it crosses
+// a unit vertex arc). Iterative DFS with the standard current-arc
+// optimization. The cursor of out(x) runs over x's CSR run
+// offsets[x]..offsets[x+1]-1, then the slot offsets[x+1] for the reverse
+// vertex arc out(x) → in(x); in(x) has its one residual arc at slot 0. An
+// unstamped cursor reads as the first slot. A level-graph arc never
+// becomes residual again within a phase (every arc an augmentation opens
+// points one level back), so a cursor only ever moves forward.
+func (nw *Network) dfsAugment(src, dst int32) bool {
+	offsets, edges, prev, level, iter := nw.offsets, nw.edges, nw.prev, nw.level, nw.iter
 	levelGen, iterGen := nw.levelGen, nw.iterGen
-	stack := append(nw.dfsStack[:0], dfsFrame{node: src})
+	stack := append(nw.stack[:0], src)
+	defer func() { nw.stack = stack }()
 	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		node := f.node
+		node := stack[len(stack)-1]
 		if node == dst {
-			// Found a path; saturate the minimum residual along it (=1 on
-			// some vertex arc, but compute it for safety).
-			bottleneck := int32(1 << 30)
-			for i := 0; i+1 < len(stack); i++ {
-				a := stack[i].arc
-				if arcCap[a] < bottleneck {
-					bottleneck = arcCap[a]
+			nw.augment(stack)
+			return true
+		}
+		x := int(node >> 1)
+		target := pack(levelGen, uint32(level[node])+1)
+		to := int32(-1)
+		it := uint32(0)
+		if node&1 == 1 {
+			it = uint32(offsets[x])
+		}
+		if e := iter[node]; stamped(e, iterGen) {
+			it = uint32(e)
+		}
+		if node&1 == 1 {
+			end := uint32(offsets[x+1])
+			for ; it < end; it++ {
+				if y := inNode(edges[it]); level[y] == target {
+					to = y
+					break
 				}
 			}
-			for i := 0; i+1 < len(stack); i++ {
-				a := stack[i].arc
-				rev := nw.arcRev[a]
-				nw.touch(a)
-				nw.touch(rev)
-				arcCap[a] -= bottleneck
-				arcCap[rev] += bottleneck
+			if it == end {
+				if prev[x] >= 0 && level[inNode(x)] == target {
+					to = inNode(x)
+				} else {
+					it++
+				}
 			}
-			nw.dfsStack = stack
-			return int(bottleneck)
-		}
-		it := nw.curArc(node)
-		end := uint32(nw.arcStart[node+1])
-		target := pack(levelGen, uint32(level[node])+1)
-		for ; it < end; it++ {
-			if arcCap[it] > 0 && level[arcHead[it]] == target {
-				break
+		} else if it == 0 {
+			if to = inArc(prev, x); level[to] != target {
+				to, it = -1, 1
 			}
 		}
 		iter[node] = pack(iterGen, it)
-		if it < end {
-			f.arc = int32(it)
-			stack = append(stack, dfsFrame{node: arcHead[it]})
+		if to >= 0 {
+			stack = append(stack, to)
 			continue
 		}
 		// Dead end: remove node from the level graph and backtrack.
 		level[node] = pack(levelGen, deadLevel)
 		stack = stack[:len(stack)-1]
 		if len(stack) > 0 {
-			iter[stack[len(stack)-1].node]++
+			iter[stack[len(stack)-1]]++
 		}
 	}
-	nw.dfsStack = stack
-	return 0
+	return false
 }
 
-// extractCut computes the source side of the min cut in the residual graph
-// and maps saturated crossing vertex arcs back to vertices of g. size is
-// the max-flow value, which by max-flow/min-cut is exactly the number of
-// crossing vertex arcs, so the returned slice is allocated at its final
-// capacity. The scan is over residual-reachable nodes only; the whole
-// extraction never looks at the unreachable side of the network.
-func (nw *Network) extractCut(src int32, size int) []int {
-	gen := nextGen(&nw.levelGen, nw.level)
-	nw.level[src] = pack(gen, 0)
-	nw.queue = append(nw.queue[:0], src)
-	for head := 0; head < len(nw.queue); head++ {
-		node := nw.queue[head]
-		for a := nw.arcStart[node]; a < nw.arcStart[node+1]; a++ {
-			to := nw.arcHead[a]
-			if nw.arcCap[a] > 0 && !stamped(nw.level[to], gen) {
-				nw.level[to] = pack(gen, 0)
-				nw.queue = append(nw.queue, to)
+// augment pushes one unit along path (split nodes from source to sink),
+// step by step in path order. A vertex arc, forward or reverse, changes
+// nothing stored. A forward step out(x) → in(y) sets prev[y] = x (the sink
+// keeps no prev). A reverse step in(y) → out(x) cancels the flow
+// out(x) → in(y): if the path entered in(y) forward from some out(p), that
+// step already rerouted prev[y] to p; otherwise it entered across the
+// reverse vertex arc, y stops carrying flow, and prev[y], still x, is
+// cleared.
+func (nw *Network) augment(path []int32) {
+	prev, t := nw.prev, path[len(path)-1]
+	for i := 0; i+1 < len(path); i++ {
+		a, b := path[i], path[i+1]
+		switch {
+		case a>>1 == b>>1: // a vertex arc
+		case a&1 == 1: // out(x) → in(y)
+			if b != t {
+				nw.touch(b >> 1)
+				prev[b>>1] = a >> 1
 			}
+		case prev[a>>1] == b>>1: // in(y) → out(x) with prev[y] = x
+			prev[a>>1] = -1
 		}
 	}
+}
+
+// extractCut returns the vertex cut of a maximum flow of value size. It
+// runs right after the flow's last, failed BFS, so the current level
+// generation marks exactly the residual-reachable nodes and nw.queue lists
+// them. A reachable in(v) whose out(v) is unreachable is a saturated
+// vertex arc crossing the cut; by max-flow/min-cut there are exactly size
+// of them, so the slice is allocated at its final capacity. The reachable
+// set is the same for every maximum flow, so the cut does not depend on
+// which augmenting paths were found.
+func (nw *Network) extractCut(size int) []int {
 	if size == 0 {
 		return nil
 	}
 	cut := make([]int, 0, size)
 	for _, node := range nw.queue {
-		// node is residual-reachable. A reachable in(v) = 2v whose out(v)
-		// is unreachable is a saturated vertex arc crossing the cut.
-		if node&1 == 0 && !stamped(nw.level[node+1], gen) {
-			cut = append(cut, int(node)/2)
+		if node&1 == 0 && !stamped(nw.level[node+1], nw.levelGen) {
+			cut = append(cut, int(node>>1))
 		}
 	}
 	sort.Ints(cut)

@@ -117,12 +117,11 @@ func TestMinVertexCutEarlyTermination(t *testing.T) {
 	}
 }
 
-// TestEdmondsKarpEarlyTermination keeps the name of the case it was written
-// for (the Edmonds-Karp engine, since removed); it now pins the same
-// early-termination contract on Dinic. K10 minus the edge (0,1) has
-// κ(0,1) = 8: a bound far below κ must still report atLeastBound, on a
-// fresh and on a pooled network, and a bound above it must return the cut.
-func TestEdmondsKarpEarlyTermination(t *testing.T) {
+// TestEarlyTerminationFarBelowKappa pins the early-termination contract.
+// K10 minus the edge (0,1) has κ(0,1) = 8: a bound far below κ must still
+// report atLeastBound, on a fresh and on a pooled network, and a bound
+// above it must return the cut.
+func TestEarlyTerminationFarBelowKappa(t *testing.T) {
 	var edges [][2]int
 	for _, e := range cliqueEdges(0, 10) {
 		if e != [2]int{0, 1} {
@@ -144,15 +143,14 @@ func TestEdmondsKarpEarlyTermination(t *testing.T) {
 	}
 }
 
-// TestLocalVCAdversarialShapes keeps the name of the sweep written for the
-// local-search engine (since removed) and runs the same shapes on Dinic:
-// cuts far from the source (barbell, lollipop), no small cut at all
-// (Harary), and a hub cut shared by many sides (star of cliques). These
+// TestAdversarialShapesAgainstUncappedFlow sweeps shapes that stress a
+// bounded flow: cuts far from the source (barbell, lollipop), no small cut
+// at all (Harary), and a hub cut shared by many sides (star of cliques). These
 // are too large for the brute-force oracle, so a bounded network pooled
 // across all shapes is checked against an uncapped fresh network clamped
 // to the bound, and every returned cut must have the flow's size and
 // separate the pair.
-func TestLocalVCAdversarialShapes(t *testing.T) {
+func TestAdversarialShapesAgainstUncappedFlow(t *testing.T) {
 	shapes := []struct {
 		name  string
 		g     *graph.Graph

@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"math/bits"
+	"slices"
 	"testing"
 
 	"kvcc/graph"
@@ -32,8 +34,10 @@ func fuzzGraph(nRaw uint8, bits uint16) *graph.Graph {
 // undo-log path) must agree with a fresh network per query (exercising a
 // clean build); every pair that reaches the flow must match the
 // brute-force oracle, capped at the bound; and every returned cut must
-// have size equal to the flow value, avoid both endpoints, and actually
-// disconnect the pair.
+// have size equal to the flow value, avoid both endpoints, actually
+// disconnect the pair, and equal the brute-force source-closest minimum
+// cut. That last check is what makes the cut independent of the order in
+// which augmenting paths are found.
 func FuzzMinVertexCut(f *testing.F) {
 	f.Add(uint8(6), uint16(0xffff), uint8(3))
 	f.Add(uint8(9), uint16(0x1234), uint8(2))
@@ -78,7 +82,63 @@ func FuzzMinVertexCut(f *testing.F) {
 				if sameComp(g, u, v, avoid) {
 					t.Fatalf("(%d,%d): cut %v does not separate", u, v, cut)
 				}
+				if want := sourceClosestMinCut(g, u, v, c); !slices.Equal(cut, want) {
+					t.Fatalf("(%d,%d): cut %v, source-closest minimum cut %v", u, v, cut, want)
+				}
 			}
 		}
 	})
+}
+
+// sourceClosestMinCut returns, by brute force over every kappa-subset S of
+// the other vertices, the minimum u-v vertex cut whose component of u in
+// G−S is contained in that of every other minimum cut. The cut is unique,
+// since it is the neighbourhood of its component, and it is the cut that
+// the residual graph of every maximum flow yields. It returns nil if no
+// minimum cut's component is contained in all the others.
+func sourceClosestMinCut(g *graph.Graph, u, v, kappa int) []int {
+	n := g.NumVertices()
+	var cuts, comps []uint
+	for s := uint(0); s < 1<<n; s++ {
+		if bits.OnesCount(s) != kappa || s&(1<<u|1<<v) != 0 {
+			continue
+		}
+		if c := componentMask(g, u, s); c&(1<<v) == 0 {
+			cuts, comps = append(cuts, s), append(comps, c)
+		}
+	}
+	for i, c := range comps {
+		closest := true
+		for _, o := range comps {
+			closest = closest && c&^o == 0
+		}
+		if closest {
+			cut := []int{}
+			for w := 0; w < n; w++ {
+				if cuts[i]&(1<<w) != 0 {
+					cut = append(cut, w)
+				}
+			}
+			return cut
+		}
+	}
+	return nil
+}
+
+// componentMask returns the vertex set, as a bitmask, of the component of
+// u in g minus the vertices of the mask removed.
+func componentMask(g *graph.Graph, u int, removed uint) uint {
+	comp := uint(1) << u
+	stack := []int{u}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range g.Neighbors(x) {
+			if bit := uint(1) << w; (comp|removed)&bit == 0 {
+				comp |= bit
+				stack = append(stack, w)
+			}
+		}
+	}
+	return comp
 }

@@ -37,9 +37,8 @@ func TestNetworkScratchReuseAcrossGraphs(t *testing.T) {
 	}
 }
 
-// The undo log must restore the residual capacities exactly: after any
-// query sequence, the next query's undo leaves arcCap identical to
-// arcInit.
+// The undo log must clear the flow state exactly: after any query
+// sequence, the next query's undo leaves every prev entry at −1.
 func TestUndoLogRestoresCapacities(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomConnectedGraph(20, 0.25, rng)
@@ -48,10 +47,10 @@ func TestUndoLogRestoresCapacities(t *testing.T) {
 		u, v := rng.Intn(20), rng.Intn(20)
 		nw.MinVertexCut(u, v)
 		nw.undo()
-		for a := range nw.arcCap {
-			if nw.arcCap[a] != nw.arcInit[a] {
-				t.Fatalf("trial %d after (%d,%d): arc %d cap %d != init %d",
-					trial, u, v, a, nw.arcCap[a], nw.arcInit[a])
+		for x, p := range nw.prev {
+			if p != -1 {
+				t.Fatalf("trial %d after (%d,%d): vertex %d prev %d, want -1",
+					trial, u, v, x, p)
 			}
 		}
 	}
