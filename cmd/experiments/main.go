@@ -18,8 +18,7 @@
 //	experiments -exp fig10,table2 -scale 1.0
 //
 // Absolute numbers differ from the paper (synthetic data, different
-// hardware); the reproduction target is the qualitative shape — see
-// EXPERIMENTS.md for the side-by-side reading.
+// hardware); the reproduction target is the qualitative shape.
 package main
 
 import (

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -72,53 +73,54 @@ func TestCSRInvariantsAcrossConstructors(t *testing.T) {
 	checkCSRInvariants(t, g.Clone())
 }
 
+// TestCSRBuilderMatchesBuilder diffs Builder's sort-free fill (buildCSR)
+// against CSRBuilder's sorted runs on random multigraphs whose pairs come
+// in both orientations, repeated, and mixed with self-loops.
 func TestCSRBuilderMatchesBuilder(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	type edge struct{ u, v int64 }
-	edges := make([]edge, 500)
-	for i := range edges {
-		edges[i] = edge{rng.Int63n(100), rng.Int63n(100)}
-	}
-
-	b := NewBuilder(100)
-	for _, e := range edges {
-		b.AddEdge(e.u, e.v)
-	}
-	want := b.Build()
-
-	cb := NewCSRBuilder()
-	for _, e := range edges {
-		cb.CountEdge(e.u, e.v)
-	}
-	cb.BeginPlacement()
-	for _, e := range edges {
-		if err := cb.PlaceEdge(e.u, e.v); err != nil {
-			t.Fatal(err)
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Int63n(100)
+		type edge struct{ u, v int64 }
+		edges := make([]edge, rng.Intn(500))
+		for i := range edges {
+			edges[i] = edge{rng.Int63n(n), rng.Int63n(n)}
 		}
-	}
-	got, err := cb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
-		t.Fatalf("shape %v vs %v", got, want)
-	}
-	for v := 0; v < want.NumVertices(); v++ {
-		if got.Label(v) != want.Label(v) {
-			t.Fatalf("label mismatch at %d: %d vs %d", v, got.Label(v), want.Label(v))
+		b := NewBuilder(int(n))
+		for _, e := range edges {
+			b.AddEdge(e.u, e.v)
 		}
-		a, bN := got.Neighbors(v), want.Neighbors(v)
-		if len(a) != len(bN) {
-			t.Fatalf("degree mismatch at %d", v)
+		want := b.Build()
+
+		cb := NewCSRBuilder()
+		for _, e := range edges {
+			cb.CountEdge(e.u, e.v)
 		}
-		for i := range a {
-			if a[i] != bN[i] {
-				t.Fatalf("adjacency mismatch at %d", v)
+		cb.BeginPlacement()
+		for _, e := range edges {
+			if err := cb.PlaceEdge(e.u, e.v); err != nil {
+				t.Fatal(err)
 			}
 		}
+		got, err := cb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
+			t.Fatalf("seed %d: shape %v vs %v", seed, got, want)
+		}
+		for v := 0; v < want.NumVertices(); v++ {
+			if got.Label(v) != want.Label(v) {
+				t.Fatalf("seed %d: label mismatch at %d: %d vs %d", seed, v, got.Label(v), want.Label(v))
+			}
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+				t.Fatalf("seed %d: run of %d is %v, Builder's %v", seed, v, got.Neighbors(v), want.Neighbors(v))
+			}
+		}
+		checkCSRInvariants(t, got)
+		checkCSRInvariants(t, want)
 	}
-	checkCSRInvariants(t, got)
 }
 
 func TestCSRBuilderStreamDivergence(t *testing.T) {
@@ -197,8 +199,8 @@ func TestInducedSubgraphAllocs(t *testing.T) {
 	}
 }
 
-// TestBuilderBuildAllocs guards the single-allocation construction of
-// Build: the CSR assembly itself may allocate only the offsets and edge
+// TestBuilderBuildAllocs guards the flat construction of Build: the CSR
+// assembly itself may allocate only the offsets, edge and fill-cursor
 // arrays (plus the Graph header).
 func TestBuilderBuildAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -215,7 +217,7 @@ func TestBuilderBuildAllocs(t *testing.T) {
 		b.Build()
 	})
 	// Builder accumulation (map + labels + endpoint slices with amortized
-	// doubling) plus the three Build allocations; the slice-of-slices
+	// doubling) plus the four Build allocations; the slice-of-slices
 	// layout cost ~47k allocations on this input.
 	if allocs > 100 {
 		t.Fatalf("builder path allocates %.0f times, want <= 100", allocs)

@@ -200,62 +200,92 @@ func FromEdges(n int, edges [][2]int) *Graph {
 			if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
 				panic(fmt.Sprintf("graph: edge (%d,%d) outside [0,%d)", e[0], e[1], n))
 			}
-			if e[0] == e[1] {
-				continue
-			}
 			pair(e[0], e[1])
 		}
 	})
 	return &Graph{offsets: offsets, edges: flat, labels: labels, m: m}
 }
 
-// buildCSR assembles normalized CSR arrays for n vertices with one
-// counting-sort: count degrees, prefix-sum into offsets, place both
-// endpoints of every pair using offsets as the write cursor, then
-// normalize (sort runs, drop duplicates and self-loops, compact). forEach
-// must replay the identical (u,v) sequence on both invocations; it is the
-// one construction skeleton shared by Builder.Build, FromEdges and
-// SpanningSubgraph.
+// buildCSR assembles normalized CSR arrays for n vertices without sorting
+// any run. Each run of v is split at mid[v] into a low part (neighbours
+// below v) and a high part (neighbours above v). The second forEach pass
+// writes every pair once, unsorted, into the high part of its smaller
+// endpoint. A transpose then walks u in ascending order and appends u to
+// the low part of every w in u's high part, so each low part comes out
+// sorted; a second transpose walks the sorted low parts the same way and
+// rewrites every high part in ascending order. A run is its low part then
+// its high part, hence sorted, and one linear compaction drops the
+// duplicates. Beside offsets, the fill needs only two n-entry arrays and
+// no second copy of the adjacency. forEach must replay the identical
+// (u,v) sequence on both invocations; self-loops are dropped here.
+//
+// This is the construction shared by the callers that hold their whole
+// edge list (Builder.Build, FromEdges, SpanningSubgraph). CSRBuilder
+// instead places both arcs of each pair as its stream delivers them, so
+// it sorts its runs in place (normalizeCSR).
 func buildCSR(n int, forEach func(pair func(u, v int))) (offsets, edges []int, m int) {
 	offsets = make([]int, n+1)
+	split := make([]int, 2*n)
+	mid, cur := split[:n], split[n:]
 	forEach(func(u, v int) {
+		if u == v {
+			return
+		}
 		offsets[u+1]++
 		offsets[v+1]++
+		mid[max(u, v)]++
 	})
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
+		mid[v] += offsets[v]
 	}
 	edges = make([]int, offsets[n])
+	copy(cur, mid)
 	forEach(func(u, v int) {
-		edges[offsets[u]] = v
-		offsets[u]++
-		edges[offsets[v]] = u
-		offsets[v]++
+		if u == v {
+			return
+		}
+		if u > v {
+			u, v = v, u
+		}
+		edges[cur[u]] = v
+		cur[u]++
 	})
-	restoreOffsets(offsets)
-	edges, m = normalizeCSR(offsets, edges)
+	copy(cur, offsets[:n])
+	for u := 0; u < n; u++ {
+		for _, w := range edges[mid[u]:offsets[u+1]] {
+			edges[cur[w]] = u
+			cur[w]++
+		}
+	}
+	copy(cur, mid)
+	for w := 0; w < n; w++ {
+		for _, u := range edges[offsets[w]:mid[w]] {
+			edges[cur[u]] = w
+			cur[u]++
+		}
+	}
+	edges, m = compactCSR(offsets, edges)
 	return offsets, edges, m
 }
 
-// restoreOffsets undoes the fill-cursor mutation: after a counting-sort
-// fill that advanced offsets[v] to the end of v's run, every offsets[v]
-// holds the correct value of offsets[v+1], so one overlapping copy shifts
-// the array back into place.
-func restoreOffsets(offsets []int) {
-	n := len(offsets) - 1
-	copy(offsets[1:], offsets[:n])
-	offsets[0] = 0
+// normalizeCSR sorts each vertex's run in place, then compacts the array
+// with compactCSR.
+func normalizeCSR(offsets, edges []int) ([]int, int) {
+	for v := 0; v+1 < len(offsets); v++ {
+		sort.Ints(edges[offsets[v]:offsets[v+1]])
+	}
+	return compactCSR(offsets, edges)
 }
 
-// normalizeCSR sorts each vertex's run, removes duplicates and self-loops
-// in place (compacting the shared edge array), rewrites offsets, and
-// returns the compacted edge array and the undirected edge count.
-func normalizeCSR(offsets, edges []int) ([]int, int) {
+// compactCSR removes duplicates and self-loops from sorted runs in place
+// (compacting the shared edge array), rewrites offsets, and returns the
+// compacted edge array and the undirected edge count.
+func compactCSR(offsets, edges []int) ([]int, int) {
 	n := len(offsets) - 1
 	write := 0
 	for v := 0; v < n; v++ {
 		run := edges[offsets[v]:offsets[v+1]]
-		sort.Ints(run)
 		newStart := write
 		prev := -1
 		for _, w := range run {

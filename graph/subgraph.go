@@ -89,9 +89,6 @@ func (g *Graph) InducedSubgraphByLabels(labels []int64) *Graph {
 func (g *Graph) SpanningSubgraph(edges [][2]int) *Graph {
 	offsets, flat, m := buildCSR(g.NumVertices(), func(pair func(u, v int)) {
 		for _, e := range edges {
-			if e[0] == e[1] {
-				continue
-			}
 			pair(e[0], e[1])
 		}
 	})

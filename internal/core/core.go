@@ -257,36 +257,6 @@ type workspace struct {
 	flow   flow.Scratch
 	sparse sparse.Scratch
 	cf     cutFinder
-
-	// Trivial-certificate state for components the CKT construction
-	// cannot shrink (see certificate in globalcut.go).
-	trivGroupID []int
-	trivCert    sparse.Certificate
-}
-
-// certificate returns the sparse certificate used for the flow tests on
-// component g. When m <= k(n-1) — the CKT edge bound — the certificate
-// cannot be asymptotically smaller than the component itself, so its
-// construction (one decomposition pass plus a copy of the kept edges
-// into a new graph) buys no smaller flow networks: the component doubles
-// as its own certificate (GLOBAL-CUT on the raw graph is always correct;
-// the certificate is strictly a flow-size optimization). The trivial
-// certificate carries no side groups, so the group sweep degrades
-// gracefully to no pruning on such components. See docs/DESIGN.md.
-func (ws *workspace) certificate(g *graph.Graph, k int) *sparse.Certificate {
-	n := g.NumVertices()
-	if g.NumEdges() > sparse.EdgeBound(k, n) {
-		return sparse.ComputeScratch(g, k, &ws.sparse)
-	}
-	if cap(ws.trivGroupID) < n {
-		ws.trivGroupID = make([]int, n)
-		for i := range ws.trivGroupID {
-			ws.trivGroupID[i] = -1
-		}
-	}
-	// The buffer only ever holds -1: nothing writes through GroupID.
-	ws.trivCert = sparse.Certificate{SC: g, GroupID: ws.trivGroupID[:n]}
-	return &ws.trivCert
 }
 
 // runSerial is the deterministic single-threaded driver.
@@ -448,7 +418,7 @@ func (e *enumerator) step(t task, stats *Stats, ws *workspace) (children []task,
 			// sparse certificate this cannot happen; recompute the cut on
 			// the raw graph as a defensive fallback.
 			stats.CutFallbacks++
-			cut = e.findCutRaw(sub, stats, ws)
+			cut = e.findCutBasic(sub, sub, stats, ws)
 			if cut == nil {
 				vccs = append(vccs, sub)
 				continue

@@ -7,8 +7,8 @@ import (
 	"kvcc/graph"
 )
 
-// findCutRaw is the defensive path used if a certificate cut ever failed
-// to disconnect; exercise it directly.
+// findCutBasic on the raw component is the defensive path used if a
+// certificate cut ever failed to disconnect; exercise it directly.
 func TestFindCutRaw(t *testing.T) {
 	e := &enumerator{k: 3, opts: Options{}}
 	stats := &Stats{}
@@ -24,7 +24,7 @@ func TestFindCutRaw(t *testing.T) {
 		}
 	}
 	g := graph.FromEdges(6, edges)
-	cut := e.findCutRaw(g, stats, &ws)
+	cut := e.findCutBasic(g, g, stats, &ws)
 	if len(cut) != 2 {
 		t.Fatalf("raw cut = %v, want size 2", cut)
 	}
@@ -38,7 +38,7 @@ func TestFindCutRaw(t *testing.T) {
 
 	// A k-connected graph yields no cut.
 	k4 := graph.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	if cut := e.findCutRaw(k4, stats, &ws); cut != nil {
+	if cut := e.findCutBasic(k4, k4, stats, &ws); cut != nil {
 		t.Fatalf("K4 raw cut = %v, want nil at k=3", cut)
 	}
 }

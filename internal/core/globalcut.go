@@ -9,20 +9,24 @@ import (
 // findCut searches a connected component for a vertex cut with fewer than
 // k vertices. It returns nil if the component is k-connected. The returned
 // hint carries this component's strong side-vertex set to its children.
+// Every variant runs its flow tests on the component's sparse certificate
+// (Theorem 5), whatever the component's size: the certificate costs one
+// O(n+m) pass, and its last forest gives the group sweep its side groups.
 func (e *enumerator) findCut(g *graph.Graph, hint *ssvHint, stats *Stats, ws *workspace) ([]int, *ssvHint) {
+	cert := sparse.ComputeScratch(g, e.k, &ws.sparse)
 	if e.opts.Algorithm == VCCE {
-		return e.findCutBasic(g, stats, ws), nil
+		return e.findCutBasic(g, cert.SC, stats, ws), nil
 	}
-	return e.findCutOptimized(g, hint, stats, ws)
+	return e.findCutOptimized(g, cert, hint, stats, ws)
 }
 
-// findCutBasic is GLOBAL-CUT (Algorithm 2): sparse certificate, then local
-// connectivity tests from a minimum-degree source against every vertex
-// (phase 1) and between every pair of the source's neighbors (phase 2,
-// Lemma 4).
-func (e *enumerator) findCutBasic(g *graph.Graph, stats *Stats, ws *workspace) []int {
-	cert := ws.certificate(g, e.k)
-	sc := cert.SC
+// findCutBasic is GLOBAL-CUT (Algorithm 2) on component g with its flow
+// tests run on sc: local connectivity tests from a minimum-degree source
+// against every vertex (phase 1) and between every pair of the source's
+// neighbors (phase 2, Lemma 4). VCCE passes g's sparse certificate as sc;
+// the defensive fallback in step passes g itself, so any cut it finds is
+// a cut of the component by construction.
+func (e *enumerator) findCutBasic(g, sc *graph.Graph, stats *Stats, ws *workspace) []int {
 	nw := flow.NewNetworkScratch(sc, e.k, &ws.flow)
 	defer func() { stats.FlowRuns += nw.FlowRuns }()
 
@@ -48,34 +52,6 @@ func (e *enumerator) findCutBasic(g *graph.Graph, stats *Stats, ws *workspace) [
 			if g.HasEdge(nbrs[i], nbrs[j]) {
 				continue
 			}
-			if cut, _, atLeast := nw.MinVertexCut(nbrs[i], nbrs[j]); !atLeast {
-				return cut
-			}
-		}
-	}
-	return nil
-}
-
-// findCutRaw is the defensive fallback: the basic two-phase search run on
-// the raw component without a sparse certificate, so any cut it finds is a
-// cut of the component by construction.
-func (e *enumerator) findCutRaw(g *graph.Graph, stats *Stats, ws *workspace) []int {
-	// No certificate and no sweeps: this path only runs after a cut
-	// validation failure, where predictable behavior matters more than
-	// speed.
-	nw := flow.NewNetworkScratch(g, e.k, &ws.flow)
-	defer func() { stats.FlowRuns += nw.FlowRuns }()
-	u, _ := g.MinDegreeVertex()
-	for v := 0; v < g.NumVertices(); v++ {
-		stats.LocCutTests++
-		if cut, _, atLeast := nw.MinVertexCut(u, v); !atLeast {
-			return cut
-		}
-	}
-	nbrs := g.Neighbors(u)
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			stats.LocCutTests++
 			if cut, _, atLeast := nw.MinVertexCut(nbrs[i], nbrs[j]); !atLeast {
 				return cut
 			}
@@ -176,8 +152,7 @@ func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, cert *sparse.Certifica
 
 // findCutOptimized is GLOBAL-CUT* (Algorithm 3) with the sweep strategies
 // selected by the algorithm variant.
-func (e *enumerator) findCutOptimized(g *graph.Graph, hint *ssvHint, stats *Stats, ws *workspace) ([]int, *ssvHint) {
-	cert := ws.certificate(g, e.k)
+func (e *enumerator) findCutOptimized(g *graph.Graph, cert *sparse.Certificate, hint *ssvHint, stats *Stats, ws *workspace) ([]int, *ssvHint) {
 	cf := &ws.cf
 	cf.reset(e, g, cert, hint, stats, ws)
 	defer func() { stats.FlowRuns += cf.nw.FlowRuns }()

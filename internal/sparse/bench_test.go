@@ -25,7 +25,7 @@ func benchGraph(n int, p float64, seed int64) *graph.Graph {
 }
 
 // BenchmarkCompute measures certificate construction, paid once per
-// GLOBAL-CUT call on a component above the k(n-1) edge bound. The
+// GLOBAL-CUT call on every component. The
 // decomposition pass meets each of the 42k edges once whatever k is; what
 // still grows with k is building the SC graph from the edges it keeps
 // (about 10k at k=5, 34k at k=20 and 42k at k=30), so time tracks the

@@ -52,18 +52,6 @@ type Certificate struct {
 	GroupID []int
 }
 
-// EdgeBound returns k(n-1), the CKT certificate edge bound: a sparse
-// certificate never has more edges than this, so a graph at or below the
-// bound cannot be shrunk and doubles as its own certificate. Centralizing
-// the formula keeps the skip heuristic in internal/core and the
-// certificate property tests agreeing on the same expression.
-func EdgeBound(k, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return k * (n - 1)
-}
-
 // Scratch carries the construction buffers of ComputeScratch across
 // calls: the labels and bucket lists of the forest decomposition, the
 // certificate edges with their forest indices, and the union-find plus

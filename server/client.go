@@ -38,11 +38,6 @@ type Client struct {
 	// Retry enables automatic retries of idempotent calls. Nil keeps the
 	// historical single-attempt behavior.
 	Retry *RetryPolicy
-	// HedgeDelay, when positive, arms hedged reads: an idempotent call
-	// still unanswered after this long launches one duplicate request,
-	// and the first response wins. Hedging trades duplicate server work
-	// for tail latency; leave zero unless the workload needs it.
-	HedgeDelay time.Duration
 }
 
 // RetryPolicy shapes the client's backoff between retry attempts.
@@ -286,9 +281,9 @@ func (c *Client) get(ctx context.Context, path string, dst any) error {
 	return c.call(ctx, http.MethodGet, path, nil, true, dst)
 }
 
-// call runs one API exchange under the client's resilience policy: hedged
-// (idempotent calls, when armed) and retried with jittered exponential
-// backoff that honors the server's Retry-After hint. Non-idempotent calls
+// call runs one API exchange under the client's resilience policy:
+// idempotent calls are retried with jittered exponential backoff that
+// honors the server's Retry-After hint. Non-idempotent calls
 // get exactly one attempt regardless of policy.
 func (c *Client) call(ctx context.Context, method, path string, payload []byte, idempotent bool, dst any) error {
 	attempts := 1
@@ -308,7 +303,7 @@ func (c *Client) call(ctx context.Context, method, path string, payload []byte, 
 				return lastErr
 			}
 		}
-		data, err := c.exchangeHedged(ctx, method, path, payload, idempotent)
+		data, err := c.exchange(ctx, method, path, payload)
 		if err == nil {
 			if dst == nil {
 				return nil
@@ -337,51 +332,6 @@ func retryableError(err error) bool {
 		return false
 	}
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
-// exchangeHedged wraps exchange with tail-latency hedging: if the primary
-// request is still unanswered after HedgeDelay, launch one duplicate and
-// take whichever responds first (the loser is cancelled). Responses are
-// raw bytes here precisely so two racing attempts never decode into the
-// caller's dst concurrently.
-func (c *Client) exchangeHedged(ctx context.Context, method, path string, payload []byte, idempotent bool) ([]byte, error) {
-	if c.HedgeDelay <= 0 || !idempotent {
-		return c.exchange(ctx, method, path, payload)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // releases the loser
-	type result struct {
-		data []byte
-		err  error
-	}
-	results := make(chan result, 2) // buffered: the loser must not block
-	launch := func() {
-		go func() {
-			data, err := c.exchange(hctx, method, path, payload)
-			results <- result{data, err}
-		}()
-	}
-	launch()
-	launched := 1
-	hedge := time.NewTimer(c.HedgeDelay)
-	defer hedge.Stop()
-	var firstErr error
-	for done := 0; done < launched; {
-		select {
-		case r := <-results:
-			done++
-			if r.err == nil {
-				return r.data, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		case <-hedge.C:
-			launch()
-			launched++
-		}
-	}
-	return nil, firstErr
 }
 
 // exchange performs one HTTP round trip and maps any non-200 response to

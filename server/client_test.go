@@ -153,62 +153,6 @@ func TestClientSendsAPIKey(t *testing.T) {
 	}
 }
 
-func TestClientHedgedRead(t *testing.T) {
-	// The first request stalls; the hedge (second request) answers
-	// immediately. The client must return the hedge's answer well before
-	// the stalled primary would have finished.
-	var calls atomic.Int32
-	block := make(chan struct{})
-	defer close(block)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			select {
-			case <-block:
-			case <-r.Context().Done():
-			}
-			return
-		}
-		json.NewEncoder(w).Encode(&StatsResponse{Graphs: []GraphInfo{{Name: "hedge"}}})
-	}))
-	defer ts.Close()
-
-	c := NewClient(ts.URL)
-	c.HedgeDelay = 10 * time.Millisecond
-	begin := time.Now()
-	stats, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Graphs) != 1 || stats.Graphs[0].Name != "hedge" {
-		t.Fatalf("hedged read returned %+v", stats)
-	}
-	if elapsed := time.Since(begin); elapsed > 2*time.Second {
-		t.Fatalf("hedged read took %s: hedge never fired", elapsed)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d calls, want 2 (primary + hedge)", got)
-	}
-}
-
-func TestClientHedgeNotUsedForNonIdempotent(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		time.Sleep(50 * time.Millisecond)
-		json.NewEncoder(w).Encode(&EditsResponse{Graph: "g", Version: 2})
-	}))
-	defer ts.Close()
-
-	c := NewClient(ts.URL)
-	c.HedgeDelay = time.Millisecond
-	if _, err := c.Edits(context.Background(), EditsRequest{Graph: "g"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("unkeyed edit hedged: server saw %d calls, want 1", got)
-	}
-}
-
 // TestClientRetryHonorsRetryAfterFloor: the backoff never undercuts the
 // server's hint.
 func TestClientRetryDelayHonorsHint(t *testing.T) {
