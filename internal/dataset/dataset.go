@@ -19,7 +19,6 @@ import (
 
 	"kvcc/gen"
 	"kvcc/graph"
-	"kvcc/graphio"
 )
 
 // Meta describes one dataset: the paper's reported statistics and the
@@ -152,16 +151,6 @@ func Names() []string {
 	return names
 }
 
-// Describe returns the metadata for a dataset.
-func Describe(name string) (Meta, error) {
-	for _, p := range profiles {
-		if p.meta.Name == name {
-			return p.meta, nil
-		}
-	}
-	return Meta{}, fmt.Errorf("dataset: unknown dataset %q (have %v)", name, Names())
-}
-
 // Load generates a dataset stand-in at the given scale (1.0 = default
 // size; 0.5 = half the communities and background). Generation is
 // deterministic per (name, scale).
@@ -181,17 +170,6 @@ func MustLoad(name string, scale float64) *graph.Graph {
 		panic(err)
 	}
 	return g
-}
-
-// LoadFile ingests a real SNAP-format edge list (the datasets of Table 1,
-// downloadable from snap.stanford.edu) through the streaming two-pass
-// loader, so even the billion-edge originals the paper evaluates are read
-// with bounded memory: the finished CSR arrays plus the label intern map,
-// never an intermediate edge slice. This is the bridge from the synthetic
-// stand-ins above to the paper's actual corpus. Non-seekable paths
-// (pipes, /dev/stdin) fall back to the one-pass reader.
-func LoadFile(path string) (*graph.Graph, error) {
-	return graphio.ReadEdgeListFile(path)
 }
 
 func scaleInt(v int, scale float64, min int) int {

@@ -2,29 +2,20 @@ package dataset
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 
-	"kvcc/graphio"
 	"kvcc/internal/kcore"
 )
 
-func TestNamesAndDescribe(t *testing.T) {
+func TestNamesAndUnknownDataset(t *testing.T) {
 	names := Names()
 	if len(names) != 7 {
 		t.Fatalf("names = %v, want 7 datasets", names)
 	}
-	for _, n := range names {
-		meta, err := Describe(n)
-		if err != nil {
-			t.Fatalf("Describe(%s): %v", n, err)
+	for _, p := range profiles {
+		if p.meta.PaperVertices <= 0 || p.meta.PaperEdges <= 0 {
+			t.Fatalf("%s: paper stats missing: %+v", p.meta.Name, p.meta)
 		}
-		if meta.PaperVertices <= 0 || meta.PaperEdges <= 0 {
-			t.Fatalf("%s: paper stats missing: %+v", n, meta)
-		}
-	}
-	if _, err := Describe("nope"); err == nil {
-		t.Fatal("Describe must reject unknown names")
 	}
 	if _, err := Load("nope", 1); err == nil {
 		t.Fatal("Load must reject unknown names")
@@ -114,26 +105,5 @@ func TestTable1(t *testing.T) {
 	if byName["Cnr"].Density <= byName["DBLP"].Density {
 		t.Errorf("expected Cnr (web) denser than DBLP: %.2f vs %.2f",
 			byName["Cnr"].Density, byName["DBLP"].Density)
-	}
-}
-
-func TestLoadFileStreamsSNAPFormat(t *testing.T) {
-	// Write a generated graph as a SNAP-style edge list and ingest it
-	// back through the streaming loader.
-	g := MustLoad("Youtube", 0.1)
-	path := filepath.Join(t.TempDir(), "snap.txt")
-	if err := graphio.WriteEdgeListFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumVertices() != g.NumVertices() || back.NumEdges() != g.NumEdges() {
-		t.Fatalf("roundtrip: n=%d->%d m=%d->%d",
-			g.NumVertices(), back.NumVertices(), g.NumEdges(), back.NumEdges())
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.txt")); err == nil {
-		t.Fatal("missing file must error")
 	}
 }

@@ -2,8 +2,10 @@ package flow
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"kvcc/gen"
 	"kvcc/graph"
 )
 
@@ -84,6 +86,29 @@ func BenchmarkMinVertexCutDense(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nw.MinVertexCut(0, 100+i%90)
+	}
+}
+
+// BenchmarkMinVertexCutFarFirst replays the access pattern of GLOBAL-CUT's
+// phase 1 on one planted block (600 vertices, κ >= 25): a minimum-degree
+// source tested against every non-adjacent vertex in non-ascending BFS
+// distance, ties by ascending id, at bound 20. Every query proves
+// κ >= bound, the case that dominates enumeration time.
+func BenchmarkMinVertexCutFarFirst(b *testing.B) {
+	g, _ := gen.Planted(gen.PlantedConfig{Communities: 1, MinSize: 600, MaxSize: 600, IntraProb: 0.07, Seed: 1})
+	u, _ := g.MinDegreeVertex()
+	dist := g.BFSDistances(u)
+	var sinks []int
+	for v := range dist {
+		if v != u && !g.HasEdge(u, v) {
+			sinks = append(sinks, v)
+		}
+	}
+	slices.SortStableFunc(sinks, func(a, c int) int { return dist[c] - dist[a] })
+	nw := NewNetwork(g, 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw.MinVertexCut(u, sinks[i%len(sinks)])
 	}
 }
 

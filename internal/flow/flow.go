@@ -13,14 +13,20 @@
 // The split graph is never built. Its arcs come from the graph's own CSR
 // and its flow lives on the vertices: unit vertex capacities let every
 // vertex other than the endpoints carry at most one path, so the flow is
-// prev[v], the vertex the flow into v comes from, −1 when v carries none.
-// The sink's in-flow is multi-valued and not stored. Where the flow out of
-// v goes is never needed, because the residual arcs follow from prev alone:
+// prev[v], the vertex the flow into v comes from, −1 when v carries none,
+// and next[v], the vertex it goes to, valid only while prev[v] ≥ 0. The
+// sink's in-flow is multi-valued and not stored. The residual arcs follow
+// from prev:
 //
 //   - out(x) → in(y) for every neighbour y, always;
 //   - out(x) → in(x) iff x carries flow;
 //   - in(y) → out(y) iff y carries no flow;
 //   - in(y) → out(prev[y]) iff y carries flow.
+//
+// Reversed, they give each node's residual in-arcs, which next completes:
+// the in-arcs of in(y) are out(w) for every neighbour w, plus out(y) when y
+// carries flow; the one in-arc of out(x) is in(x) when x carries no flow,
+// else in(next[x]).
 //
 // Adjacency arcs are unbounded where the paper gives them capacity one.
 // No flow value changes, because an adjacency arc out(x) → in(y) carries
@@ -28,6 +34,16 @@
 // consists of vertex arcs, so the vertex cut is read off the residual
 // graph without case analysis. That cut is the same for every maximum
 // flow (docs/DESIGN.md, "The implicit split graph").
+//
+// # Sink-rooted levels
+//
+// Dinic's level of a node is its residual distance to the sink, found by a
+// BFS from in(v) over the reversed residual arcs that stops once out(u) is
+// labelled. The blocking-flow DFS from out(u) steps only to nodes one
+// level closer to the sink, so every node it enters lies on a shortest
+// augmenting path; its only dead ends are arcs saturated earlier in the
+// same phase. A query that ends below its limit runs one forward
+// reachability pass from out(u) to read off the source-closest cut.
 //
 // Augmentation stops as soon as the flow value reaches the query's limit
 // (the algorithm only ever asks "is κ(u,v) ≥ k?"), which keeps each test in
@@ -42,7 +58,8 @@
 //
 //   - the flow state is cleared by replaying a touched-vertex log (each
 //     vertex is recorded once per query, deduplicated by an epoch stamp)
-//     instead of resetting prev wholesale;
+//     instead of resetting prev wholesale; next needs no reset, because
+//     it is read only where prev[v] ≥ 0;
 //   - the per-node level and current-arc scratch is generation-stamped:
 //     each entry packs a 32-bit generation next to its 32-bit value in
 //     one uint64, so bumping a counter invalidates the whole array in
@@ -67,8 +84,10 @@ type Network struct {
 	edges   []int // edges[offsets[x]:offsets[x+1]]
 	bound   int
 
-	// Flow state per vertex, −1 for none (see the package comment).
+	// Flow state per vertex (see the package comment): prev is −1 for
+	// none; next is read only where prev ≥ 0 and is never reset.
 	prev []int32
+	next []int32
 
 	// Touched-vertex log: every vertex whose prev is set is
 	// recorded once per query (first touch wins, deduplicated by stamp),
@@ -81,7 +100,7 @@ type Network struct {
 	// Each entry packs (generation << 32) | value; an entry is valid iff
 	// its generation half equals the current counter, so none of these
 	// arrays is ever cleared.
-	level []uint64 // BFS level of the Dinic level graph
+	level []uint64 // residual distance to the sink; see bfsLevels
 	iter  []uint64 // current-arc cursor; see dfsAugment
 
 	levelGen uint32
@@ -112,7 +131,9 @@ func pack(gen, val uint32) uint64       { return uint64(gen)<<32 | uint64(val) }
 func stamped(e uint64, gen uint32) bool { return uint32(e>>32) == gen }
 
 // deadLevel is the packed level value of a node removed from the level
-// graph by a dead-ended DFS; it can never equal a real level + 1.
+// graph by a dead-ended DFS. It never equals the target level − 1 of a
+// node the DFS expands: only the sink has level 0, and it is never
+// expanded.
 const deadLevel = ^uint32(0)
 
 // NewNetwork builds the flow network of g with early-termination bound
@@ -186,51 +207,58 @@ func (nw *Network) MinVertexCutLimit(u, v, limit int) (cut []int, connectivity i
 	}
 	nw.FlowRuns++
 	nw.undo()
+	src, dst := outNode(u), inNode(v)
 	value := 0
-	for value < limit && nw.bfsLevels(outNode(u), inNode(v)) {
-		value += nw.blockingFlow(outNode(u), inNode(v), limit-value)
+	for value < limit && nw.bfsLevels(src, dst) {
+		value += nw.blockingFlow(src, dst, limit-value)
 	}
 	if value >= limit {
 		return nil, limit, true
 	}
-	return nw.extractCut(value), value, false
+	return nw.extractCut(src, value), value, false
 }
 
-// bfsLevels builds the Dinic level graph; reports whether dst is reachable.
-// When it is not, the current level generation marks exactly the
-// residual-reachable nodes and nw.queue lists them.
+// bfsLevels labels nodes with their residual distance to dst, the sink,
+// by a BFS over the reversed residual arcs (see the package comment), and
+// reports whether src is reachable. It stops as soon as src is labelled:
+// by then every node closer to the sink than src carries its level.
 func (nw *Network) bfsLevels(src, dst int32) bool {
 	// Hoist the hot arrays into locals: the queue append below would
 	// otherwise force a reload of every nw field each iteration.
-	offsets, edges, prev, level := nw.offsets, nw.edges, nw.prev, nw.level
+	offsets, edges, prev, next, level := nw.offsets, nw.edges, nw.prev, nw.next, nw.level
 	gen := nextGen(&nw.levelGen, level)
-	level[src] = pack(gen, 0)
-	queue := append(nw.queue[:0], src)
+	level[dst] = pack(gen, 0)
+	queue := append(nw.queue[:0], dst)
 	defer func() { nw.queue = queue }()
 	for head := 0; head < len(queue); head++ {
 		node := queue[head]
 		lv := pack(gen, uint32(level[node])+1)
 		x := int(node >> 1)
-		if node&1 == 0 {
-			// in(x)'s one residual arc never leads to the sink.
-			if to := inArc(prev, x); !stamped(level[to], gen) {
-				level[to] = lv
-				queue = append(queue, to)
+		if node&1 == 1 {
+			// out(x)'s one residual in-arc comes from an in node, never
+			// from the source.
+			from := inNode(x)
+			if prev[x] >= 0 {
+				from = inNode(int(next[x]))
+			}
+			if !stamped(level[from], gen) {
+				level[from] = lv
+				queue = append(queue, from)
 			}
 			continue
 		}
-		if prev[x] >= 0 && !stamped(level[inNode(x)], gen) {
-			level[inNode(x)] = lv // the sink never carries a prev
-			queue = append(queue, inNode(x))
+		if prev[x] >= 0 && !stamped(level[outNode(x)], gen) {
+			level[outNode(x)] = lv // the source never carries a prev
+			queue = append(queue, outNode(x))
 		}
-		for _, y := range edges[offsets[x]:offsets[x+1]] {
-			to := inNode(y)
-			if !stamped(level[to], gen) {
-				level[to] = lv
-				if to == dst {
+		for _, w := range edges[offsets[x]:offsets[x+1]] {
+			from := outNode(w)
+			if !stamped(level[from], gen) {
+				level[from] = lv
+				if from == src {
 					return true
 				}
-				queue = append(queue, to)
+				queue = append(queue, from)
 			}
 		}
 	}
@@ -251,12 +279,13 @@ func (nw *Network) blockingFlow(src, dst int32, limit int) int {
 // dfsAugment finds one augmenting path in the level graph and pushes one
 // unit along it (every path carries exactly one unit, because it crosses
 // a unit vertex arc). Iterative DFS with the standard current-arc
-// optimization. The cursor of out(x) runs over x's CSR run
-// offsets[x]..offsets[x+1]-1, then the slot offsets[x+1] for the reverse
-// vertex arc out(x) → in(x); in(x) has its one residual arc at slot 0. An
-// unstamped cursor reads as the first slot. A level-graph arc never
-// becomes residual again within a phase (every arc an augmentation opens
-// points one level back), so a cursor only ever moves forward.
+// optimization; each step goes one level closer to the sink. The cursor
+// of out(x) runs over x's CSR run offsets[x]..offsets[x+1]-1, then the
+// slot offsets[x+1] for the reverse vertex arc out(x) → in(x); in(x) has
+// its one residual arc at slot 0. An unstamped cursor reads as the first
+// slot. A level-graph arc never becomes residual again within a phase
+// (every arc an augmentation opens points one level away from the sink),
+// so a cursor only ever moves forward.
 func (nw *Network) dfsAugment(src, dst int32) bool {
 	offsets, edges, prev, level, iter := nw.offsets, nw.edges, nw.prev, nw.level, nw.iter
 	levelGen, iterGen := nw.levelGen, nw.iterGen
@@ -269,7 +298,7 @@ func (nw *Network) dfsAugment(src, dst int32) bool {
 			return true
 		}
 		x := int(node >> 1)
-		target := pack(levelGen, uint32(level[node])+1)
+		target := pack(levelGen, uint32(level[node])-1)
 		to := int32(-1)
 		it := uint32(0)
 		if node&1 == 1 {
@@ -315,19 +344,22 @@ func (nw *Network) dfsAugment(src, dst int32) bool {
 
 // augment pushes one unit along path (split nodes from source to sink),
 // step by step in path order. A vertex arc, forward or reverse, changes
-// nothing stored. A forward step out(x) → in(y) sets prev[y] = x (the sink
-// keeps no prev). A reverse step in(y) → out(x) cancels the flow
-// out(x) → in(y): if the path entered in(y) forward from some out(p), that
-// step already rerouted prev[y] to p; otherwise it entered across the
-// reverse vertex arc, y stops carrying flow, and prev[y], still x, is
-// cleared.
+// nothing stored. A forward step out(x) → in(y) sets next[x] = y and
+// prev[y] = x (the sink keeps no prev). A reverse step in(y) → out(x)
+// cancels the flow out(x) → in(y): if the path entered in(y) forward from
+// some out(p), that step already rerouted prev[y] to p; otherwise it
+// entered across the reverse vertex arc, y stops carrying flow, and
+// prev[y], still x, is cleared. Either way the path leaves out(x) next,
+// forward to a new next[x] or back across x's vertex arc, so next needs
+// no undo: it is stale only where prev is −1.
 func (nw *Network) augment(path []int32) {
-	prev, t := nw.prev, path[len(path)-1]
+	prev, next, t := nw.prev, nw.next, path[len(path)-1]
 	for i := 0; i+1 < len(path); i++ {
 		a, b := path[i], path[i+1]
 		switch {
 		case a>>1 == b>>1: // a vertex arc
 		case a&1 == 1: // out(x) → in(y)
+			next[a>>1] = b >> 1
 			if b != t {
 				nw.touch(b >> 1)
 				prev[b>>1] = a >> 1
@@ -338,21 +370,47 @@ func (nw *Network) augment(path []int32) {
 	}
 }
 
-// extractCut returns the vertex cut of a maximum flow of value size. It
-// runs right after the flow's last, failed BFS, so the current level
-// generation marks exactly the residual-reachable nodes and nw.queue lists
-// them. A reachable in(v) whose out(v) is unreachable is a saturated
-// vertex arc crossing the cut; by max-flow/min-cut there are exactly size
-// of them, so the slice is allocated at its final capacity. The reachable
-// set is the same for every maximum flow, so the cut does not depend on
-// which augmenting paths were found.
-func (nw *Network) extractCut(size int) []int {
+// extractCut returns the vertex cut of a maximum flow of value size from
+// src. The level search ran from the sink, so one forward pass marks the
+// nodes reachable from src in the residual graph under a fresh level
+// generation and lists them in nw.queue. A reachable in(v) whose out(v)
+// is unreachable is a saturated vertex arc crossing the cut; by
+// max-flow/min-cut there are exactly size of them, so the slice is
+// allocated at its final capacity. The reachable set is the same for
+// every maximum flow, so the cut, the source-closest minimum cut, does
+// not depend on which augmenting paths were found.
+func (nw *Network) extractCut(src int32, size int) []int {
 	if size == 0 {
 		return nil
 	}
+	offsets, edges, prev, level := nw.offsets, nw.edges, nw.prev, nw.level
+	seen := pack(nextGen(&nw.levelGen, level), 0)
+	level[src] = seen
+	queue := append(nw.queue[:0], src)
+	visit := func(to int32) {
+		if level[to] != seen {
+			level[to] = seen
+			queue = append(queue, to)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		node := queue[head]
+		x := int(node >> 1)
+		if node&1 == 0 {
+			visit(inArc(prev, x))
+			continue
+		}
+		if prev[x] >= 0 {
+			visit(inNode(x))
+		}
+		for _, y := range edges[offsets[x]:offsets[x+1]] {
+			visit(inNode(y))
+		}
+	}
+	nw.queue = queue
 	cut := make([]int, 0, size)
-	for _, node := range nw.queue {
-		if node&1 == 0 && !stamped(nw.level[node+1], nw.levelGen) {
+	for _, node := range queue {
+		if node&1 == 0 && level[node+1] != seen {
 			cut = append(cut, int(node>>1))
 		}
 	}

@@ -37,7 +37,8 @@ func fuzzGraph(nRaw uint8, bits uint16) *graph.Graph {
 // have size equal to the flow value, avoid both endpoints, actually
 // disconnect the pair, and equal the brute-force source-closest minimum
 // cut. That last check is what makes the cut independent of the order in
-// which augmenting paths are found.
+// which augmenting paths are found. A query that reaches the bound must
+// leave a flow that checkFlowPaths decomposes along next.
 func FuzzMinVertexCut(f *testing.F) {
 	f.Add(uint8(6), uint16(0xffff), uint8(3))
 	f.Add(uint8(9), uint16(0x1234), uint8(2))
@@ -67,6 +68,9 @@ func FuzzMinVertexCut(f *testing.F) {
 					}
 				}
 				if atLeast {
+					if !g.HasEdge(u, v) {
+						checkFlowPaths(t, pooled, u, v, bound)
+					}
 					continue
 				}
 				if len(cut) != c {

@@ -21,7 +21,7 @@ type Scratch struct {
 // re-exposed by growing within capacity may hold stale values, which is
 // safe for every caller here: stamped arrays only ever hold generations
 // already issued (so a strictly increasing generation counter can never
-// collide with them), and the flow state is fully rewritten before use.
+// collide with them), and the flow state is written before it is read.
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
@@ -59,6 +59,7 @@ func NewNetworkScratch(g *graph.Graph, bound int, s *Scratch) *Network {
 	for v := range nw.prev {
 		nw.prev[v] = -1
 	}
+	nw.next = growInt32(nw.next, n) // read only where prev >= 0
 	// The flow state was just cleared, so there is nothing to undo; the
 	// per-query undo() opens a fresh touch epoch.
 	nw.touched = nw.touched[:0]

@@ -56,6 +56,90 @@ func TestUndoLogRestoresCapacities(t *testing.T) {
 	}
 }
 
+// checkFlowPaths walks the flow that a query from u to v which reached its
+// limit leaves behind, before the next undo clears it. From every
+// neighbour y of u with prev[y] == u it follows next until v, and every
+// step x → next[x] short of v must have prev[next[x]] == x. The walk must
+// find exactly limit paths, with every vertex that carries flow on exactly
+// one of them.
+func checkFlowPaths(t *testing.T, nw *Network, u, v, limit int) {
+	t.Helper()
+	n := len(nw.prev)
+	onPaths := make([]int, n)
+	paths := 0
+	for _, y := range nw.g.Neighbors(u) {
+		if int(nw.prev[y]) != u {
+			continue
+		}
+		paths++
+		for x, steps := y, 0; x != v; steps++ {
+			if steps == n {
+				t.Fatalf("(%d,%d): the path from %d never reaches the sink", u, v, y)
+			}
+			onPaths[x]++
+			nx := int(nw.next[x])
+			if nx < 0 || nx >= n || nx != v && int(nw.prev[nx]) != x {
+				t.Fatalf("(%d,%d): next[%d] = %d, whose flow does not come from %d", u, v, x, nx, x)
+			}
+			x = nx
+		}
+	}
+	if paths != limit {
+		t.Fatalf("(%d,%d): %d flow paths leave the source, want %d", u, v, paths, limit)
+	}
+	for x, p := range nw.prev {
+		if p >= 0 && onPaths[x] != 1 {
+			t.Fatalf("(%d,%d): vertex %d carries flow from %d but lies on %d paths", u, v, x, p, onPaths[x])
+		}
+	}
+}
+
+// Every query that reaches its limit must leave a flow that next
+// decomposes into exactly limit vertex-disjoint paths. Each pair is asked
+// at every limit up to the bound or its connectivity. Dinic is deterministic, so the
+// query at limit L repeats the augmentations of the one at L−1 and adds
+// one; when that last path changes the prev of a vertex that already
+// carried flow, it cancelled flow, and the test requires some of those so
+// that rerouted next entries are walked too.
+func TestFlowPathsFollowNext(t *testing.T) {
+	cancels := 0
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(16)
+		g := randomConnectedGraph(n, 0.25, rng)
+		bound := 2 + rng.Intn(4)
+		nw := NewNetworkScratch(g, bound, nil)
+		before := make([]int32, n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u == v || g.HasEdge(u, v) {
+					continue
+				}
+				for x := range before {
+					before[x] = -1
+				}
+				for limit := 1; limit <= bound; limit++ {
+					if _, _, atLeast := nw.MinVertexCutLimit(u, v, limit); !atLeast {
+						break
+					}
+					checkFlowPaths(t, nw, u, v, limit)
+					for x, p := range before {
+						if p >= 0 && nw.prev[x] != p {
+							cancels++
+							break
+						}
+					}
+					copy(before, nw.prev)
+				}
+			}
+		}
+	}
+	if cancels == 0 {
+		t.Fatal("no augmenting path cancelled flow, so no rerouted next was walked")
+	}
+	t.Logf("%d augmenting paths cancelled flow", cancels)
+}
+
 // Steady-state MinVertexCut must not allocate: the undo log, generation
 // stamps, and pooled buffers make a warm query heap-free. This is the
 // allocation-regression guard for the zero-reset engine.

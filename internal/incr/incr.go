@@ -54,10 +54,10 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// KeyOf computes the structural fingerprint of a component subgraph.
+// keyOf computes the structural fingerprint of a component subgraph.
 // Hashes accumulate by summation, so the key is independent of vertex
 // numbering and edge iteration order.
-func KeyOf(g *graph.Graph) ComponentKey {
+func keyOf(g *graph.Graph) ComponentKey {
 	labels := g.Labels()
 	var vh, eh uint64
 	for _, l := range labels {
@@ -112,8 +112,8 @@ func (s *Store) add(cr *ComponentResult) {
 	}
 }
 
-// Lookup returns the stored result for a component fingerprint.
-func (s *Store) Lookup(key ComponentKey) (*ComponentResult, bool) {
+// lookup returns the stored result for a component fingerprint.
+func (s *Store) lookup(key ComponentKey) (*ComponentResult, bool) {
 	if s == nil {
 		return nil, false
 	}
@@ -160,7 +160,7 @@ func Partition(g *graph.Graph, k int) (comps []*graph.Graph, keys []ComponentKey
 			sub = cored.InducedSubgraph(cc)
 		}
 		comps = append(comps, sub)
-		keys = append(keys, KeyOf(sub))
+		keys = append(keys, keyOf(sub))
 	}
 	return comps, keys, peeled
 }
@@ -190,7 +190,7 @@ func Run(ctx context.Context, g *graph.Graph, k int, opts core.Options, prev *St
 	var batch []*graph.Graph
 	var batchIdx []int
 	for i := range comps {
-		if cr, ok := prev.Lookup(keys[i]); ok {
+		if cr, ok := prev.lookup(keys[i]); ok {
 			stats.ComponentsReused++
 			slots[i] = cr
 			continue

@@ -123,22 +123,22 @@ func TestKeyOfStructuralIdentity(t *testing.T) {
 	// Same labeled structure under a different vertex numbering.
 	a := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	b := a.InducedSubgraph([]int{2, 3, 0, 1})
-	if KeyOf(a) != KeyOf(b) {
+	if keyOf(a) != keyOf(b) {
 		t.Fatal("renumbering changed the fingerprint")
 	}
 	// Same vertex set, different edges.
 	c := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}})
-	if KeyOf(a) == KeyOf(c) {
+	if keyOf(a) == keyOf(c) {
 		t.Fatal("different edge sets share a fingerprint")
 	}
 	// Different vertex labels, same shape.
 	d := graph.FromEdges(5, [][2]int{{1, 2}, {2, 3}, {3, 4}, {4, 1}}).InducedSubgraph([]int{1, 2, 3, 4})
-	if KeyOf(a) == KeyOf(d) {
+	if keyOf(a) == keyOf(d) {
 		t.Fatal("different label sets share a fingerprint")
 	}
 	// An edge swap that preserves degree sums must still change the key.
 	e := graph.FromEdges(4, [][2]int{{0, 2}, {1, 2}, {0, 3}, {1, 3}})
-	if KeyOf(a) == KeyOf(e) {
+	if keyOf(a) == keyOf(e) {
 		t.Fatal("edge swap preserved the fingerprint")
 	}
 }

@@ -93,32 +93,17 @@ func EnumerateContext(ctx context.Context, g *graph.Graph, k int) ([]*graph.Grap
 // cut, computed by a full Stoer–Wagner run. Returns 0 for disconnected or
 // trivial graphs.
 func EdgeConnectivity(g *graph.Graph) int {
-	lambda, err := EdgeConnectivityContext(context.Background(), g)
-	if err != nil {
-		panic("kecc: " + err.Error())
-	}
-	return lambda
-}
-
-// EdgeConnectivityContext is EdgeConnectivity with cancellation, checked
-// once per Stoer–Wagner phase (each phase is one maximum-adjacency
-// ordering, O(m log n) — previously a full run was uncancellable).
-func EdgeConnectivityContext(ctx context.Context, g *graph.Graph) (int, error) {
 	if g.NumVertices() <= 1 || !g.IsConnected() {
-		return 0, nil
+		return 0
 	}
 	sw := newContracted(g)
 	best := g.NumEdges() + 1
 	for sw.size() > 1 {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		_, cutWeight := sw.phase()
-		if cutWeight < best {
+		if _, cutWeight := sw.phase(); cutWeight < best {
 			best = cutWeight
 		}
 	}
-	return best, nil
+	return best
 }
 
 // globalEdgeCutBelow looks for any global edge cut of weight < k in a
