@@ -12,7 +12,7 @@ import (
 // With k = 3 the shared pair is a qualified vertex cut, so the cliques are
 // reported as two overlapping 3-VCCs.
 func ExampleEnumerate() {
-	b := graph.NewBuilder(8)
+	var edges [][2]int64
 	cliques := [][]int64{
 		{0, 1, 2, 3, 4},
 		{3, 4, 5, 6, 7},
@@ -20,11 +20,11 @@ func ExampleEnumerate() {
 	for _, c := range cliques {
 		for i := 0; i < len(c); i++ {
 			for j := i + 1; j < len(c); j++ {
-				b.AddEdge(c[i], c[j])
+				edges = append(edges, [2]int64{c[i], c[j]})
 			}
 		}
 	}
-	g := b.Build()
+	g := graph.FromLabeledEdges(edges)
 
 	res, err := kvcc.Enumerate(g, 3)
 	if err != nil {
@@ -62,16 +62,16 @@ func ExampleVertexConnectivity() {
 // EnumerateContaining answers the paper's case-study question — "which
 // k-VCCs contain this vertex?" — without enumerating unrelated regions.
 func ExampleEnumerateContaining() {
-	b := graph.NewBuilder(10)
+	var edges [][2]int64
 	for _, c := range [][]int64{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}} {
 		for i := 0; i < len(c); i++ {
 			for j := i + 1; j < len(c); j++ {
-				b.AddEdge(c[i], c[j])
+				edges = append(edges, [2]int64{c[i], c[j]})
 			}
 		}
 	}
-	b.AddEdge(4, 5) // weak link between the cliques
-	g := b.Build()
+	edges = append(edges, [2]int64{4, 5}) // weak link between the cliques
+	g := graph.FromLabeledEdges(edges)
 
 	res, err := kvcc.EnumerateContaining(g, 3, []int64{7})
 	if err != nil {

@@ -78,16 +78,16 @@ func show(when string, res *kvcc.Result) {
 // 10..15 and 20..25 (each missing one internal edge so they are exactly
 // 4-connected, not 5-connected).
 func threeCommunities() *graph.Graph {
-	b := graph.NewBuilder(18)
+	var edges [][2]int64
 	for _, base := range []int64{0, 10, 20} {
 		for i := int64(0); i < 6; i++ {
 			for j := i + 1; j < 6; j++ {
 				if i == 0 && j == 1 {
 					continue // drop one edge: exactly 4-connected
 				}
-				b.AddEdge(base+i, base+j)
+				edges = append(edges, [2]int64{base + i, base + j})
 			}
 		}
 	}
-	return b.Build()
+	return graph.FromLabeledEdges(edges)
 }

@@ -171,9 +171,9 @@ func SampleEdges(g *graph.Graph, frac float64, seed int64) *graph.Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	b := graph.NewBuilder(g.NumVertices())
-	for _, e := range all[:keep] {
-		b.AddEdge(g.Label(e[0]), g.Label(e[1]))
+	labelled := make([][2]int64, keep)
+	for i, e := range all[:keep] {
+		labelled[i] = [2]int64{g.Label(e[0]), g.Label(e[1])}
 	}
-	return b.Build()
+	return graph.FromLabeledEdges(labelled)
 }

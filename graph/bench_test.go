@@ -77,21 +77,16 @@ func BenchmarkCommonNeighborCount(b *testing.B) {
 	}
 }
 
-// BenchmarkBuilder measures graph construction from scratch.
+// BenchmarkBuilder measures labelled graph construction from scratch.
 func BenchmarkBuilder(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	type edge struct{ u, v int64 }
-	edges := make([]edge, 50000)
+	edges := make([][2]int64, 50000)
 	for i := range edges {
-		edges[i] = edge{rng.Int63n(10000), rng.Int63n(10000)}
+		edges[i] = [2]int64{rng.Int63n(10000), rng.Int63n(10000)}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bl := NewBuilder(10000)
-		for _, e := range edges {
-			bl.AddEdge(e.u, e.v)
-		}
-		bl.Build()
+		FromLabeledEdges(edges)
 	}
 }

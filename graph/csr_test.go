@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 )
@@ -56,14 +55,14 @@ func TestCSRInvariantsAcrossConstructors(t *testing.T) {
 	g := FromEdges(n, edges)
 	checkCSRInvariants(t, g)
 
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(int64(e[0]), int64(e[1]))
+	labelled := make([][2]int64, len(edges))
+	for i, e := range edges {
+		labelled[i] = [2]int64{int64(e[0]), int64(e[1])}
 	}
-	fromBuilder := b.Build()
-	checkCSRInvariants(t, fromBuilder)
-	if fromBuilder.NumEdges() != g.NumEdges() {
-		t.Fatalf("builder m=%d, FromEdges m=%d", fromBuilder.NumEdges(), g.NumEdges())
+	fromLabels := FromLabeledEdges(labelled)
+	checkCSRInvariants(t, fromLabels)
+	if fromLabels.NumEdges() != g.NumEdges() {
+		t.Fatalf("FromLabeledEdges m=%d, FromEdges m=%d", fromLabels.NumEdges(), g.NumEdges())
 	}
 
 	vs := rng.Perm(n)[:n/2]
@@ -71,56 +70,6 @@ func TestCSRInvariantsAcrossConstructors(t *testing.T) {
 	checkCSRInvariants(t, g.SpanningSubgraph(edges[:100]))
 	checkCSRInvariants(t, g.RemoveEdges(edges[:50]))
 	checkCSRInvariants(t, g.Clone())
-}
-
-// TestCSRBuilderMatchesBuilder diffs Builder's sort-free fill (buildCSR)
-// against CSRBuilder's sorted runs on random multigraphs whose pairs come
-// in both orientations, repeated, and mixed with self-loops.
-func TestCSRBuilderMatchesBuilder(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Int63n(100)
-		type edge struct{ u, v int64 }
-		edges := make([]edge, rng.Intn(500))
-		for i := range edges {
-			edges[i] = edge{rng.Int63n(n), rng.Int63n(n)}
-		}
-
-		b := NewBuilder(int(n))
-		for _, e := range edges {
-			b.AddEdge(e.u, e.v)
-		}
-		want := b.Build()
-
-		cb := NewCSRBuilder()
-		for _, e := range edges {
-			cb.CountEdge(e.u, e.v)
-		}
-		cb.BeginPlacement()
-		for _, e := range edges {
-			if err := cb.PlaceEdge(e.u, e.v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := cb.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
-			t.Fatalf("seed %d: shape %v vs %v", seed, got, want)
-		}
-		for v := 0; v < want.NumVertices(); v++ {
-			if got.Label(v) != want.Label(v) {
-				t.Fatalf("seed %d: label mismatch at %d: %d vs %d", seed, v, got.Label(v), want.Label(v))
-			}
-			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
-				t.Fatalf("seed %d: run of %d is %v, Builder's %v", seed, v, got.Neighbors(v), want.Neighbors(v))
-			}
-		}
-		checkCSRInvariants(t, got)
-		checkCSRInvariants(t, want)
-	}
 }
 
 func TestCSRBuilderStreamDivergence(t *testing.T) {
@@ -150,6 +99,28 @@ func TestCSRBuilderStreamDivergence(t *testing.T) {
 	}
 	if _, err := cb.Build(); err == nil {
 		t.Fatal("short placement pass must fail Build")
+	}
+
+	// Every degree matches the count, but each pair's smaller endpoint
+	// moved: {0,2} overruns the empty low part of 2, and {1,3} the empty
+	// high part of 1. Neither may be written, and Build must not return
+	// a corrupt graph.
+	cb = NewCSRBuilder()
+	for l := int64(0); l < 4; l++ {
+		cb.InternVertex(l)
+	}
+	cb.CountEdge(0, 1)
+	cb.CountEdge(2, 3)
+	cb.BeginPlacement()
+	for _, e := range [][2]int64{{0, 2}, {1, 3}} {
+		if err := cb.PlaceEdge(e[0], e[1]); err == nil {
+			t.Fatalf("placement of %v must fail: it leaves every degree but moves a pair's smaller endpoint", e)
+		}
+	}
+	if g, err := cb.Build(); err == nil {
+		if verr := ValidateCSR(g); verr != nil {
+			t.Fatalf("Build returned a corrupt graph after a diverged placement: %v", verr)
+		}
 	}
 }
 
@@ -199,28 +170,23 @@ func TestInducedSubgraphAllocs(t *testing.T) {
 	}
 }
 
-// TestBuilderBuildAllocs guards the flat construction of Build: the CSR
-// assembly itself may allocate only the offsets, edge and fill-cursor
-// arrays (plus the Graph header).
+// TestBuilderBuildAllocs guards the flat construction of a labelled
+// graph: beside interning, the CSR assembly may allocate only the
+// offsets, edge and fill-cursor arrays (plus the Graph header).
 func TestBuilderBuildAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	type edge struct{ u, v int64 }
-	edges := make([]edge, 20000)
+	edges := make([][2]int64, 20000)
 	for i := range edges {
-		edges[i] = edge{rng.Int63n(5000), rng.Int63n(5000)}
+		edges[i] = [2]int64{rng.Int63n(5000), rng.Int63n(5000)}
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		b := NewBuilder(5000)
-		for _, e := range edges {
-			b.AddEdge(e.u, e.v)
-		}
-		b.Build()
+		FromLabeledEdges(edges)
 	})
-	// Builder accumulation (map + labels + endpoint slices with amortized
-	// doubling) plus the four Build allocations; the slice-of-slices
-	// layout cost ~47k allocations on this input.
+	// Interning (map + labels + the counting arrays, grown by amortized
+	// doubling) plus the Build allocations; the slice-of-slices layout
+	// cost ~47k allocations on this input.
 	if allocs > 100 {
-		t.Fatalf("builder path allocates %.0f times, want <= 100", allocs)
+		t.Fatalf("labelled construction allocates %.0f times, want <= 100", allocs)
 	}
 }
 

@@ -2,33 +2,28 @@ package graph
 
 import "fmt"
 
-// CSRBuilder assembles a Graph directly into CSR form from two passes over
-// an edge stream, without ever materializing an intermediate edge slice:
-// the counting pass (CountEdge) sizes every vertex's run, then the
-// placement pass (PlaceEdge) writes each endpoint straight into its final
-// slot. Between the passes, BeginPlacement performs the only two large
-// allocations (offsets and the flat edge array). This is the construction
-// path for streaming ingestion of multi-million-edge files, where holding
-// a [][2]int edge list alongside the graph would double peak memory.
+// CSRBuilder assembles a labelled Graph directly into CSR form from two
+// passes over an edge stream, without ever materializing an intermediate
+// edge slice: the counting pass (CountEdge) interns labels and sizes every
+// vertex's run, then the placement pass (PlaceEdge) writes each pair once
+// into its final slot. This is the construction path for every labelled
+// edge source: streaming ingestion of multi-million-edge files, where
+// holding a [][2]int64 edge list alongside the graph would double peak
+// memory, and FromLabeledEdges for callers that already hold one.
 //
-// Vertices are interned in first-mention order of the counting pass,
-// matching Builder, so a CSRBuilder-built graph is identical to a
-// Builder-built graph over the same stream. Self-loops are dropped by both
-// passes; duplicate edges are dropped by Build.
+// Vertices are interned in first-mention order of the counting pass.
+// Self-loops are dropped by both passes (a label seen only in self-loops
+// is never interned); duplicate edges are dropped by Build.
 type CSRBuilder struct {
 	index   map[int64]int
 	labels  []int64
-	deg     []int // counting pass: per-vertex degree; placement pass: write cursor
-	offsets []int
-	edges   []int
+	fill    csrFill
 	placing bool
-	counted int // edges accepted by the counting pass
-	placed  int // edges accepted by the placement pass
 }
 
 // NewCSRBuilder returns an empty CSRBuilder in its counting pass.
 func NewCSRBuilder() *CSRBuilder {
-	return &CSRBuilder{index: make(map[int64]int, 1024)}
+	return &CSRBuilder{index: make(map[int64]int, 1024), fill: csrFill{offsets: []int{0}}}
 }
 
 func (b *CSRBuilder) intern(l int64) int {
@@ -38,7 +33,8 @@ func (b *CSRBuilder) intern(l int64) int {
 	v := len(b.labels)
 	b.index[l] = v
 	b.labels = append(b.labels, l)
-	b.deg = append(b.deg, 0)
+	b.fill.offsets = append(b.fill.offsets, 0)
+	b.fill.mid = append(b.fill.mid, 0)
 	return v
 }
 
@@ -56,7 +52,7 @@ func (b *CSRBuilder) InternVertex(l int64) int {
 }
 
 // CountEdge records one undirected edge during the counting pass.
-// Self-loops are dropped, matching Builder.AddEdge.
+// Self-loops are dropped.
 func (b *CSRBuilder) CountEdge(lu, lv int64) {
 	if b.placing {
 		panic("graph: CountEdge after BeginPlacement")
@@ -65,10 +61,7 @@ func (b *CSRBuilder) CountEdge(lu, lv int64) {
 		return
 	}
 	u := b.intern(lu)
-	v := b.intern(lv)
-	b.deg[u]++
-	b.deg[v]++
-	b.counted++
+	b.fill.count(u, b.intern(lv))
 }
 
 // NumVertices returns the number of vertices interned so far.
@@ -80,19 +73,14 @@ func (b *CSRBuilder) BeginPlacement() {
 	if b.placing {
 		panic("graph: BeginPlacement called twice")
 	}
-	n := len(b.labels)
-	b.offsets = make([]int, n+1)
-	for v := 0; v < n; v++ {
-		b.offsets[v+1] = b.offsets[v] + b.deg[v]
-	}
-	b.edges = make([]int, b.offsets[n])
-	copy(b.deg, b.offsets[:n]) // deg becomes the per-vertex write cursor
+	b.fill.begin()
 	b.placing = true
 }
 
 // PlaceEdge writes one undirected edge into its counted slots during the
-// placement pass. It fails if the edge stream diverged from the counting
-// pass: an endpoint never interned, or more edges than were counted.
+// placement pass. It fails, placing nothing, if the edge stream diverged
+// from the counting pass: an endpoint never interned, or a pair that
+// would overrun a part of a run the counting pass sized.
 func (b *CSRBuilder) PlaceEdge(lu, lv int64) error {
 	if !b.placing {
 		return fmt.Errorf("graph: PlaceEdge before BeginPlacement")
@@ -108,32 +96,47 @@ func (b *CSRBuilder) PlaceEdge(lu, lv int64) error {
 	if !ok {
 		return fmt.Errorf("graph: placement pass saw uncounted vertex %d", lv)
 	}
-	if b.deg[u] >= b.offsets[u+1] {
-		return fmt.Errorf("graph: placement pass overflows vertex %d (stream changed between passes?)", lu)
+	if !b.fill.place(u, v) {
+		return fmt.Errorf("graph: placement pass overflows the counted run of vertex %d or %d (stream changed between passes?)", lu, lv)
 	}
-	if b.deg[v] >= b.offsets[v+1] {
-		return fmt.Errorf("graph: placement pass overflows vertex %d (stream changed between passes?)", lv)
-	}
-	b.edges[b.deg[u]] = v
-	b.deg[u]++
-	b.edges[b.deg[v]] = u
-	b.deg[v]++
-	b.placed++
 	return nil
 }
 
-// Build normalizes the placed edges (sorting runs, dropping duplicates)
-// into a Graph. It fails if the placement pass delivered fewer edges than
-// the counting pass promised. The builder must not be used afterwards.
+// Build sorts the placed runs by transposition and drops duplicates,
+// producing a Graph. It fails if the placement pass delivered fewer edges
+// than the counting pass promised. The builder must not be used
+// afterwards.
 func (b *CSRBuilder) Build() (*Graph, error) {
 	if !b.placing {
 		return nil, fmt.Errorf("graph: Build before BeginPlacement")
 	}
-	if b.placed != b.counted {
-		return nil, fmt.Errorf("graph: placement pass delivered %d edges, counting pass saw %d", b.placed, b.counted)
+	if b.fill.placed != b.fill.counted {
+		return nil, fmt.Errorf("graph: placement pass delivered %d edges, counting pass saw %d", b.fill.placed, b.fill.counted)
 	}
-	flat, m := normalizeCSR(b.offsets, b.edges)
-	g := &Graph{offsets: b.offsets, edges: flat, labels: b.labels, m: m}
-	b.index, b.labels, b.deg, b.offsets, b.edges = nil, nil, nil, nil, nil
+	offsets, edges, m := b.fill.finish()
+	g := &Graph{offsets: offsets, edges: edges, labels: b.labels, m: m}
+	b.index, b.labels, b.fill = nil, nil, csrFill{}
 	return g, nil
+}
+
+// FromLabeledEdges builds a graph from labelled pairs, numbering vertices
+// in first-mention order. Self-loops are dropped without interning their
+// label, and duplicate edges in either orientation are dropped. It
+// replays the slice through the two passes of a CSRBuilder.
+func FromLabeledEdges(edges [][2]int64) *Graph {
+	b := NewCSRBuilder()
+	for _, e := range edges {
+		b.CountEdge(e[0], e[1])
+	}
+	b.BeginPlacement()
+	for _, e := range edges {
+		if err := b.PlaceEdge(e[0], e[1]); err != nil {
+			panic(err) // the replay is the counted stream, so it always fits
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -20,10 +20,10 @@
 // Sorted adjacency makes neighborhood intersection a linear merge, which
 // the sweep optimizations (Section 5) and the metrics package rely on.
 //
-// Construct graphs with Builder (labels assigned on first use), FromEdges
-// (contiguous vertices), or the subgraph operations InducedSubgraph,
-// InducedSubgraphByLabels, and SpanningSubgraph; parse them from edge
-// lists with the graphio package. A Graph is immutable once built; to
+// Construct graphs with FromEdges (contiguous vertices), FromLabeledEdges
+// or a two-pass CSRBuilder (labels numbered in first-mention order), or
+// the subgraph operations InducedSubgraph and SpanningSubgraph; parse
+// them from edge lists with the graphio package. A Graph is immutable once built; to
 // mutate one over time, wrap it in a Delta — a versioned overlay of edge
 // insertions, deletions and new vertices whose Compact method materializes
 // fresh immutable snapshots.

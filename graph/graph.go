@@ -8,9 +8,9 @@ import (
 // Graph is an immutable undirected simple graph in compressed sparse row
 // (CSR) form: one offsets array and one shared flat neighbor array, so a
 // graph costs three heap allocations regardless of vertex count and a
-// subgraph extraction never allocates per vertex. Construct one with a
-// Builder, CSRBuilder, FromEdges, or by inducing a subgraph of an existing
-// Graph. The zero value is an empty graph.
+// subgraph extraction never allocates per vertex. Construct one with
+// FromEdges, FromLabeledEdges, a CSRBuilder, or by inducing a subgraph of
+// an existing Graph. The zero value is an empty graph.
 type Graph struct {
 	offsets []int   // len n+1; the adjacency of v is edges[offsets[v]:offsets[v+1]]
 	edges   []int   // flat neighbor storage; every per-vertex run is sorted
@@ -191,66 +191,105 @@ func (g *Graph) String() string {
 // from an edge list. Self-loops and duplicate edges are discarded. It panics
 // if an endpoint is outside [0,n).
 func FromEdges(n int, edges [][2]int) *Graph {
+	for _, e := range edges {
+		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) outside [0,%d)", e[0], e[1], n))
+		}
+	}
 	labels := make([]int64, n)
 	for v := range labels {
 		labels[v] = int64(v)
 	}
-	offsets, flat, m := buildCSR(n, func(pair func(u, v int)) {
-		for _, e := range edges {
-			if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-				panic(fmt.Sprintf("graph: edge (%d,%d) outside [0,%d)", e[0], e[1], n))
-			}
-			pair(e[0], e[1])
-		}
-	})
+	offsets, flat, m := fillPairs(n, edges)
 	return &Graph{offsets: offsets, edges: flat, labels: labels, m: m}
 }
 
-// buildCSR assembles normalized CSR arrays for n vertices without sorting
-// any run. Each run of v is split at mid[v] into a low part (neighbours
-// below v) and a high part (neighbours above v). The second forEach pass
-// writes every pair once, unsorted, into the high part of its smaller
-// endpoint. A transpose then walks u in ascending order and appends u to
-// the low part of every w in u's high part, so each low part comes out
-// sorted; a second transpose walks the sorted low parts the same way and
-// rewrites every high part in ascending order. A run is its low part then
-// its high part, hence sorted, and one linear compaction drops the
-// duplicates. Beside offsets, the fill needs only two n-entry arrays and
-// no second copy of the adjacency. forEach must replay the identical
-// (u,v) sequence on both invocations; self-loops are dropped here.
-//
-// This is the construction shared by the callers that hold their whole
-// edge list (Builder.Build, FromEdges, SpanningSubgraph). CSRBuilder
-// instead places both arcs of each pair as its stream delivers them, so
-// it sorts its runs in place (normalizeCSR).
-func buildCSR(n int, forEach func(pair func(u, v int))) (offsets, edges []int, m int) {
-	offsets = make([]int, n+1)
-	split := make([]int, 2*n)
-	mid, cur := split[:n], split[n:]
-	forEach(func(u, v int) {
-		if u == v {
-			return
+// fillPairs runs the CSR fill over vertex-id pairs in [0,n), dropping
+// self-loops. It serves the constructors that hold their whole edge list
+// (FromEdges, SpanningSubgraph).
+func fillPairs(n int, pairs [][2]int) (offsets, edges []int, m int) {
+	f := csrFill{offsets: make([]int, n+1), mid: make([]int, n)}
+	for _, e := range pairs {
+		if e[0] != e[1] {
+			f.count(e[0], e[1])
 		}
-		offsets[u+1]++
-		offsets[v+1]++
-		mid[max(u, v)]++
-	})
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-		mid[v] += offsets[v]
 	}
-	edges = make([]int, offsets[n])
-	copy(cur, mid)
-	forEach(func(u, v int) {
-		if u == v {
-			return
+	f.begin()
+	for _, e := range pairs {
+		if e[0] != e[1] {
+			f.place(e[0], e[1])
 		}
-		if u > v {
-			u, v = v, u
-		}
-		edges[cur[u]] = v
-		cur[u]++
-	})
+	}
+	return f.finish()
+}
+
+// csrFill assembles normalized CSR arrays without sorting any run; it is
+// the only CSR fill in this package. Each run of v is split at mid[v]
+// into a low part (neighbours below v) and a high part (neighbours above
+// v). The counting pass sizes both parts. The placement pass writes every
+// pair once, unsorted, into the high part of its smaller endpoint. A
+// transpose then walks u in ascending order and appends u to the low part
+// of every w in u's high part, so each low part comes out sorted; a second
+// transpose walks the sorted low parts the same way and rewrites every
+// high part in ascending order. A run is its low part then its high part,
+// hence sorted, and one linear compaction drops the duplicates. Beside
+// offsets and mid, the fill needs only two n-entry cursor arrays and no
+// second copy of the adjacency. Callers drop self-loops before count and
+// place.
+type csrFill struct {
+	offsets []int // counting: offsets[v+1] is v's degree; then run bounds
+	mid     []int // counting: v's lower-neighbour count; then where v's high part starts
+	hi, lo  []int // placement: next free slot of v's high part; fill mark of v's low part
+	edges   []int
+
+	counted, placed int // pairs accepted by each pass
+}
+
+func (f *csrFill) count(u, v int) {
+	f.offsets[u+1]++
+	f.offsets[v+1]++
+	f.mid[max(u, v)]++
+	f.counted++
+}
+
+// begin turns the counts into run bounds and allocates the edge array.
+func (f *csrFill) begin() {
+	n := len(f.mid)
+	for v := 0; v < n; v++ {
+		f.offsets[v+1] += f.offsets[v]
+		f.mid[v] += f.offsets[v]
+	}
+	f.edges = make([]int, f.offsets[n])
+	cursors := make([]int, 2*n)
+	f.hi, f.lo = cursors[:n], cursors[n:]
+	copy(f.hi, f.mid)
+	copy(f.lo, f.offsets[:n])
+}
+
+// place writes the pair into the high part of its smaller endpoint and
+// reserves a slot in the low part of its larger one. It reports false,
+// writing nothing, when either part is already full: the placement pass
+// diverged from the counting pass, and filling on would overrun a
+// neighbouring run.
+func (f *csrFill) place(u, v int) bool {
+	if u > v {
+		u, v = v, u
+	}
+	if f.hi[u] >= f.offsets[u+1] || f.lo[v] >= f.mid[v] {
+		return false
+	}
+	f.edges[f.hi[u]] = v
+	f.hi[u]++
+	f.lo[v]++
+	f.placed++
+	return true
+}
+
+// finish runs the two transposes and the compaction. Every part must be
+// exactly full: placed == counted with no rejected pair guarantees it.
+func (f *csrFill) finish() (offsets, edges []int, m int) {
+	offsets, edges, mid, cur := f.offsets, f.edges, f.mid, f.lo
+	n := len(mid)
 	copy(cur, offsets[:n])
 	for u := 0; u < n; u++ {
 		for _, w := range edges[mid[u]:offsets[u+1]] {
@@ -267,15 +306,6 @@ func buildCSR(n int, forEach func(pair func(u, v int))) (offsets, edges []int, m
 	}
 	edges, m = compactCSR(offsets, edges)
 	return offsets, edges, m
-}
-
-// normalizeCSR sorts each vertex's run in place, then compacts the array
-// with compactCSR.
-func normalizeCSR(offsets, edges []int) ([]int, int) {
-	for v := 0; v+1 < len(offsets); v++ {
-		sort.Ints(edges[offsets[v]:offsets[v+1]])
-	}
-	return compactCSR(offsets, edges)
 }
 
 // compactCSR removes duplicates and self-loops from sorted runs in place

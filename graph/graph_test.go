@@ -73,13 +73,14 @@ func TestSingleVertex(t *testing.T) {
 }
 
 func TestBuilderDedupAndSelfLoops(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(10, 20)
-	b.AddEdge(20, 10) // duplicate, reversed
-	b.AddEdge(10, 20) // duplicate
-	b.AddEdge(10, 10) // self-loop
-	b.AddEdge(20, 30)
-	g := b.Build()
+	g := FromLabeledEdges([][2]int64{
+		{10, 20},
+		{20, 10}, // duplicate, reversed
+		{10, 20}, // duplicate
+		{10, 10}, // self-loop
+		{20, 30},
+		{40, 40}, // self-loop on an unseen label: never interned
+	})
 	if g.NumVertices() != 3 {
 		t.Fatalf("n = %d, want 3", g.NumVertices())
 	}
@@ -205,20 +206,6 @@ func TestSpanningSubgraph(t *testing.T) {
 	}
 }
 
-func TestRemoveVertices(t *testing.T) {
-	g := cycle(6)
-	sub, kept := g.RemoveVertices(map[int]bool{0: true, 3: true})
-	if sub.NumVertices() != 4 {
-		t.Fatalf("n = %d", sub.NumVertices())
-	}
-	if sub.IsConnected() {
-		t.Fatal("cycle minus two opposite vertices must be disconnected")
-	}
-	if len(kept) != 4 {
-		t.Fatalf("kept = %v", kept)
-	}
-}
-
 func TestRemoveEdges(t *testing.T) {
 	g := cycle(5)
 	h := g.RemoveEdges([][2]int{{1, 0}, {2, 3}})
@@ -311,10 +298,7 @@ func TestEdges(t *testing.T) {
 }
 
 func TestLabelIndex(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddEdge(100, 200)
-	b.AddEdge(200, 300)
-	g := b.Build()
+	g := FromLabeledEdges([][2]int64{{100, 200}, {200, 300}})
 	idx := g.LabelIndex()
 	for v := 0; v < g.NumVertices(); v++ {
 		if idx[g.Label(v)] != v {
@@ -408,25 +392,5 @@ func TestComponentsPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInducedSubgraphByLabels(t *testing.T) {
-	b := NewBuilder(5)
-	b.AddEdge(100, 200)
-	b.AddEdge(200, 300)
-	b.AddEdge(300, 100)
-	b.AddEdge(300, 400)
-	g := b.Build()
-	sub := g.InducedSubgraphByLabels([]int64{100, 300, 400, 999, 100})
-	if sub.NumVertices() != 3 {
-		t.Fatalf("n = %d, want 3 (unknown and duplicate labels ignored)", sub.NumVertices())
-	}
-	if sub.NumEdges() != 2 {
-		t.Fatalf("m = %d, want 2", sub.NumEdges())
-	}
-	idx := sub.LabelIndex()
-	if !sub.HasEdge(idx[100], idx[300]) || !sub.HasEdge(idx[300], idx[400]) {
-		t.Fatal("induced edges wrong")
 	}
 }

@@ -66,47 +66,13 @@ func (g *Graph) inducedSubgraphMap(vs []int) *Graph {
 	return sg
 }
 
-// InducedSubgraphByLabels returns the subgraph induced by the vertices
-// with the given labels, ignoring labels not present in the graph. Useful
-// for re-extracting a component (e.g. a community returned by an
-// enumeration) from the original graph.
-func (g *Graph) InducedSubgraphByLabels(labels []int64) *Graph {
-	idx := g.LabelIndex()
-	vs := make([]int, 0, len(labels))
-	seen := make(map[int]bool, len(labels))
-	for _, l := range labels {
-		if v, ok := idx[l]; ok && !seen[v] {
-			seen[v] = true
-			vs = append(vs, v)
-		}
-	}
-	return g.InducedSubgraph(vs)
-}
-
 // SpanningSubgraph returns a graph on the same vertex set (same ids, same
 // labels) containing exactly the given edges. Edges must reference valid
 // vertices; duplicates and self-loops are dropped.
 func (g *Graph) SpanningSubgraph(edges [][2]int) *Graph {
-	offsets, flat, m := buildCSR(g.NumVertices(), func(pair func(u, v int)) {
-		for _, e := range edges {
-			pair(e[0], e[1])
-		}
-	})
+	offsets, flat, m := fillPairs(g.NumVertices(), edges)
 	labels := append([]int64(nil), g.labels...)
 	return &Graph{offsets: offsets, edges: flat, labels: labels, m: m}
-}
-
-// RemoveVertices returns the subgraph induced by all vertices not in the
-// set, along with the slice of kept original ids (parallel to the new
-// numbering).
-func (g *Graph) RemoveVertices(remove map[int]bool) (*Graph, []int) {
-	kept := make([]int, 0, g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		if !remove[v] {
-			kept = append(kept, v)
-		}
-	}
-	return g.InducedSubgraph(kept), kept
 }
 
 // RemoveEdges returns a graph on the same vertex set with the given edges

@@ -10,20 +10,23 @@ import (
 	"kvcc/graph"
 )
 
-// ReadEdgeList parses an edge list from r in one pass. It accumulates the
-// edges in a graph.Builder, so peak memory includes the flat endpoint
-// list; prefer StreamEdgeList for seekable multi-million-edge inputs,
-// which builds the CSR arrays directly. Both accept the same format (see
-// parseEdgeLine) and produce identical graphs.
+// ReadEdgeList parses an edge list from r in one pass. It buffers the
+// label pairs and replays them for the placement pass, so peak memory
+// includes that pair list; prefer StreamEdgeList for seekable
+// multi-million-edge inputs, which re-reads the input instead. Both
+// accept the same format (see parseEdgeLine) and produce identical
+// graphs.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
-	b := graph.NewBuilder(1024)
-	if err := scanEdges(r, func(u, v int64) error {
-		b.AddEdge(u, v)
+	var pairs [][2]int64
+	keep := func(u, v int64) { pairs = append(pairs, [2]int64{u, v}) }
+	return loadEdgeList(r, keep, func(place func(u, v int64) error) error {
+		for _, p := range pairs {
+			if err := place(p[0], p[1]); err != nil {
+				return err
+			}
+		}
 		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
+	})
 }
 
 // ReadEdgeListFile loads an edge list from a file path. Regular files are

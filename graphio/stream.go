@@ -10,13 +10,15 @@ import (
 	"kvcc/graph"
 )
 
-// This file is the streaming SNAP/edge-list ingestion path: a buffered,
+// This file is the SNAP/edge-list ingestion path: a buffered,
 // tab/space/comment-tolerant scanner feeding graph.CSRBuilder in two
-// passes, so a multi-million-edge file is loaded with bounded memory —
-// the CSR arrays plus the label intern map — and never materializes an
-// intermediate [][2]int edge slice. All loaders in this package share one
-// line parser (parseEdgeLine), so the streaming and one-pass paths accept
-// byte-identical inputs and build identical graphs.
+// passes. Both loaders in this package run one body (loadEdgeList) with
+// one line parser (parseEdgeLine), so they accept byte-identical inputs
+// and build identical graphs; they differ only in where the placement
+// pass reads from. The streaming loader re-reads its input, so a
+// multi-million-edge file is loaded with bounded memory — the CSR arrays
+// plus the label intern map — and never materializes an intermediate
+// edge slice.
 
 // maxLineBytes bounds one input line; SNAP exports are two short integers
 // per line, so a megabyte is already absurdly generous.
@@ -31,18 +33,30 @@ const maxLineBytes = 1024 * 1024
 // #-comments are skipped; self-loops and duplicate edges are dropped as in
 // SNAP preprocessing.
 func StreamEdgeList(rs io.ReadSeeker) (*graph.Graph, error) {
+	return loadEdgeList(rs, nil, func(place func(u, v int64) error) error {
+		if _, err := rs.Seek(0, io.SeekStart); err != nil {
+			return fmt.Errorf("graphio: rewind for placement pass: %w", err)
+		}
+		return scanEdges(rs, place)
+	})
+}
+
+// loadEdgeList runs graph.CSRBuilder's two passes over an edge list: the
+// counting pass parses r, handing every pair to keep as well when keep is
+// non-nil, and replay must deliver the same pairs again to place.
+func loadEdgeList(r io.Reader, keep func(u, v int64), replay func(place func(u, v int64) error) error) (*graph.Graph, error) {
 	b := graph.NewCSRBuilder()
-	if err := scanEdges(rs, func(u, v int64) error {
+	if err := scanEdges(r, func(u, v int64) error {
 		b.CountEdge(u, v)
+		if keep != nil {
+			keep(u, v)
+		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if _, err := rs.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("graphio: rewind for placement pass: %w", err)
-	}
 	b.BeginPlacement()
-	if err := scanEdges(rs, b.PlaceEdge); err != nil {
+	if err := replay(b.PlaceEdge); err != nil {
 		return nil, err
 	}
 	g, err := b.Build()

@@ -209,25 +209,22 @@ func build(p profile, scale float64) *graph.Graph {
 	}
 
 	// Merge the layers with disjoint label ranges.
-	b := graph.NewBuilder(sparseG.NumVertices() + denseG.NumVertices() + bg.NumVertices())
-	for _, e := range sparseG.Edges(nil) {
-		b.AddEdge(sparseG.Label(e[0]), sparseG.Label(e[1]))
+	var edges [][2]int64
+	layer := func(g *graph.Graph, offset int64) {
+		for _, e := range g.Edges(nil) {
+			edges = append(edges, [2]int64{offset + g.Label(e[0]), offset + g.Label(e[1])})
+		}
 	}
+	layer(sparseG, 0)
 	denseOffset := int64(sparseG.NumVertices())
-	for _, e := range denseG.Edges(nil) {
-		b.AddEdge(denseOffset+denseG.Label(e[0]), denseOffset+denseG.Label(e[1]))
-	}
+	layer(denseG, denseOffset)
 	megaOffset := denseOffset + int64(denseG.NumVertices())
 	var bgOffset int64 = megaOffset
 	if mega != nil {
-		for _, e := range mega.Edges(nil) {
-			b.AddEdge(megaOffset+mega.Label(e[0]), megaOffset+mega.Label(e[1]))
-		}
+		layer(mega, megaOffset)
 		bgOffset += int64(mega.NumVertices())
 	}
-	for _, e := range bg.Edges(nil) {
-		b.AddEdge(bgOffset+bg.Label(e[0]), bgOffset+bg.Label(e[1]))
-	}
+	layer(bg, bgOffset)
 	// Attachment edges tie the layers together so the graph is one
 	// loosely connected whole (k-core strips them during enumeration).
 	rng := rand.New(rand.NewSource(p.seed + 2))
@@ -240,15 +237,15 @@ func build(p profile, scale float64) *graph.Graph {
 		return c[rng.Intn(len(c))]
 	}
 	for i := 0; i < scaleInt(p.attachments, scale, 1); i++ {
-		b.AddEdge(pick(), bgOffset+int64(rng.Intn(bg.NumVertices())))
+		edges = append(edges, [2]int64{pick(), bgOffset + int64(rng.Intn(bg.NumVertices()))})
 	}
 	if mega != nil {
 		for i := 0; i < 10; i++ {
-			b.AddEdge(megaOffset+int64(rng.Intn(mega.NumVertices())),
-				bgOffset+int64(rng.Intn(bg.NumVertices())))
+			edges = append(edges, [2]int64{megaOffset + int64(rng.Intn(mega.NumVertices())),
+				bgOffset + int64(rng.Intn(bg.NumVertices()))})
 		}
 	}
-	return b.Build()
+	return graph.FromLabeledEdges(edges)
 }
 
 // megaBlock builds the optional dense core tier as an "onion": nested
@@ -263,10 +260,7 @@ func megaBlock(p profile, scale float64) *graph.Graph {
 	}
 	size := scaleInt(p.megaSize, scale, 200)
 	rng := rand.New(rand.NewSource(p.seed + 20))
-	b := graph.NewBuilder(size)
-	for v := 0; v < size; v++ {
-		b.AddVertex(int64(v))
-	}
+	var edges [][2]int
 	layerFrac := []float64{1.0, 0.55, 0.30, 0.17}
 	degFrac := []float64{0.55, 0.40, 0.45, 0.90}
 	for li, lf := range layerFrac {
@@ -281,12 +275,12 @@ func megaBlock(p profile, scale float64) *graph.Graph {
 		for i := 0; i < s; i++ {
 			for j := i + 1; j < s; j++ {
 				if rng.Float64() < q {
-					b.AddEdge(int64(i), int64(j))
+					edges = append(edges, [2]int{i, j})
 				}
 			}
 		}
 	}
-	return b.Build()
+	return graph.FromEdges(size, edges)
 }
 
 // Communities regenerates the planted community label sets of a dataset

@@ -97,11 +97,12 @@ func TestMinVertexCutCycle(t *testing.T) {
 	}
 }
 
+// TestMinVertexCutEarlyTermination runs K4 minus the edge (0,1), where
+// 0 and 1 are non-adjacent and {2,3} is their only separator, so
+// κ(0,1) = 2: at bound 2 the query stops early with atLeastBound, and at
+// bound 3 it returns the cut {2,3}.
 func TestMinVertexCutEarlyTermination(t *testing.T) {
-	g := complete(8) // κ(u,v) = n-1 but no non-adjacent pairs exist...
-	// use a complete bipartite-ish structure instead: K4 minus an edge has
-	// κ(0,1)=2 when (0,1) removed.
-	g = graph.FromEdges(4, [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
+	g := graph.FromEdges(4, [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
 	nw := NewNetwork(g, 2)
 	_, _, atLeast := nw.MinVertexCut(0, 1)
 	if !atLeast {

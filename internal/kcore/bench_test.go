@@ -9,14 +9,11 @@ import (
 
 func benchGraph(n, m int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		b.AddVertex(int64(v))
+	edges := make([][2]int, m)
+	for i := range edges {
+		edges[i] = [2]int{rng.Intn(n), rng.Intn(n)}
 	}
-	for i := 0; i < m; i++ {
-		b.AddEdge(int64(rng.Intn(n)), int64(rng.Intn(n)))
-	}
-	return b.Build()
+	return graph.FromEdges(n, edges)
 }
 
 // BenchmarkCoreNumbers measures the full O(n+m) decomposition.

@@ -67,17 +67,14 @@ func addStats(a, b Stats) Stats {
 // paper's Fig. 14 visualizes: research groups joined through shared core
 // authors.
 func (r *Result) OverlapGraph() *graph.Graph {
-	b := graph.NewBuilder(len(r.Components))
-	for i := range r.Components {
-		b.AddVertex(int64(i))
-	}
 	m := r.OverlapMatrix()
+	var edges [][2]int
 	for i := range m {
 		for j := i + 1; j < len(m); j++ {
 			if m[i][j] > 0 {
-				b.AddEdge(int64(i), int64(j))
+				edges = append(edges, [2]int{i, j})
 			}
 		}
 	}
-	return b.Build()
+	return graph.FromEdges(len(r.Components), edges)
 }

@@ -17,17 +17,8 @@ import (
 // (labels 10..13): the clique is a k-VCC up to k=5, the cycle only at
 // k=2, so edits inside the cycle must leave deep levels untouched.
 func cliqueAndCycle() *graph.Graph {
-	b := graph.NewBuilder(10)
-	for i := int64(0); i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
-			b.AddEdge(i, j)
-		}
-	}
-	b.AddEdge(10, 11)
-	b.AddEdge(11, 12)
-	b.AddEdge(12, 13)
-	b.AddEdge(13, 10)
-	return b.Build()
+	return cliques([]int64{0, 1, 2, 3, 4, 5},
+		[]int64{10, 11}, []int64{11, 12}, []int64{12, 13}, []int64{13, 10})
 }
 
 func TestEditsVersionScopedInvalidation(t *testing.T) {

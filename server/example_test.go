@@ -13,16 +13,16 @@ import (
 // query it through the HTTP client. The repeated query is answered from
 // the result cache without re-running the enumeration.
 func Example_client() {
-	b := graph.NewBuilder(8)
+	var edges [][2]int64
 	for _, c := range [][]int64{{0, 1, 2, 3, 4}, {3, 4, 5, 6, 7}} {
 		for i := 0; i < len(c); i++ {
 			for j := i + 1; j < len(c); j++ {
-				b.AddEdge(c[i], c[j])
+				edges = append(edges, [2]int64{c[i], c[j]})
 			}
 		}
 	}
 	srv := server.New(server.Config{})
-	srv.AddGraph("fig2", b.Build())
+	srv.AddGraph("fig2", graph.FromLabeledEdges(edges))
 
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

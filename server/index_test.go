@@ -127,13 +127,7 @@ func TestIndexGenerationInvalidation(t *testing.T) {
 	}
 
 	// Replace with one K6: a single component at every k <= 5.
-	b := graph.NewBuilder(6)
-	for i := int64(0); i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
-			b.AddEdge(i, j)
-		}
-	}
-	s.AddGraph("g", b.Build())
+	s.AddGraph("g", cliques([]int64{0, 1, 2, 3, 4, 5}))
 
 	// Immediately after the swap the old index must be unreachable: the
 	// result must describe the K6 whichever rung serves it.

@@ -387,7 +387,6 @@ func (s *Server) pagingStats() *store.PagingStats {
 	for _, st := range stores {
 		ps := st.PagingStats()
 		agg.Releases += ps.Releases
-		agg.Evictions += ps.Evictions
 		agg.MappedBytes += ps.MappedBytes
 		agg.ResidentPages += ps.ResidentPages
 		agg.TotalPages += ps.TotalPages

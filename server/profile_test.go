@@ -137,20 +137,18 @@ func TestProfilePerVertex(t *testing.T) {
 // vertex 0 would need all of {1, 2, 3}, and removing {2, 3} always
 // separates {0, 1} — so vertex 0 tops out at the 2-VCC level.
 func lambdaKappaGadget() *graph.Graph {
-	b := graph.NewBuilder(7)
+	var edges [][2]int64
 	core5 := []int64{2, 3, 4, 5, 6}
 	for i := 0; i < len(core5); i++ {
 		for j := i + 1; j < len(core5); j++ {
 			if core5[i] == 2 && core5[j] == 3 {
 				continue
 			}
-			b.AddEdge(core5[i], core5[j])
+			edges = append(edges, [2]int64{core5[i], core5[j]})
 		}
 	}
-	for _, e := range [][2]int64{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}} {
-		b.AddEdge(e[0], e[1])
-	}
-	return b.Build()
+	edges = append(edges, [][2]int64{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}}...)
+	return graph.FromLabeledEdges(edges)
 }
 
 // TestProfileValidation covers the request-side error paths.

@@ -18,15 +18,20 @@ import (
 // twoCliques builds two K5s sharing two vertices: two 3-VCCs overlapping
 // in {3, 4} (the paper's Fig. 2 shape).
 func twoCliques() *graph.Graph {
-	b := graph.NewBuilder(8)
-	for _, c := range [][]int64{{0, 1, 2, 3, 4}, {3, 4, 5, 6, 7}} {
+	return cliques([]int64{0, 1, 2, 3, 4}, []int64{3, 4, 5, 6, 7})
+}
+
+// cliques builds the union of one clique per label set.
+func cliques(sets ...[]int64) *graph.Graph {
+	var edges [][2]int64
+	for _, c := range sets {
 		for i := 0; i < len(c); i++ {
 			for j := i + 1; j < len(c); j++ {
-				b.AddEdge(c[i], c[j])
+				edges = append(edges, [2]int64{c[i], c[j]})
 			}
 		}
 	}
-	return b.Build()
+	return graph.FromLabeledEdges(edges)
 }
 
 // slowEnumerations holds every flight-leader enumeration open for d so
@@ -242,13 +247,7 @@ func TestAddGraphReplaceInvalidatesCache(t *testing.T) {
 	}
 
 	// Replace with a single K5: one 3-VCC. A stale cache would report 2.
-	b := graph.NewBuilder(5)
-	for i := int64(0); i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			b.AddEdge(i, j)
-		}
-	}
-	s.AddGraph("fig2", b.Build())
+	s.AddGraph("fig2", cliques([]int64{0, 1, 2, 3, 4}))
 
 	resp, err := s.Enumerate(ctx, EnumerateRequest{Graph: "fig2", K: 3})
 	if err != nil {
@@ -276,13 +275,7 @@ func TestReplaceMidFlightServesNewGraph(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // leader is now inside the slow hook
 
 	// Replace with a single K5 (one 3-VCC) while the old flight runs.
-	b := graph.NewBuilder(5)
-	for i := int64(0); i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			b.AddEdge(i, j)
-		}
-	}
-	s.AddGraph("fig2", b.Build())
+	s.AddGraph("fig2", cliques([]int64{0, 1, 2, 3, 4}))
 
 	resp, err := s.Enumerate(ctx, EnumerateRequest{Graph: "fig2", K: 3})
 	if err != nil {

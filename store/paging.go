@@ -1,7 +1,6 @@
 package store
 
 import (
-	"os"
 	"sync/atomic"
 
 	"kvcc/internal/residency"
@@ -10,15 +9,13 @@ import (
 // Paging accounting for mmap'd snapshots. The enumeration layers read a
 // mapped graph only by sequential scans and copy out before random
 // access (graph.Materialize); the store's part is to release a mapping's
-// resident pages when a checkpoint retires it, and to make a mapping cold
-// on demand (Evict) for the cold-cache tests and benchmarks. Neither ever
-// changes what a read returns, only what it costs.
+// resident pages when a checkpoint retires it. That never changes what a
+// read returns, only what it costs.
 
-// PagingCounters accumulates release and eviction activity across one
-// store's mappings. Fields are updated atomically.
+// PagingCounters accumulates release activity across one store's
+// mappings. Fields are updated atomically.
 type PagingCounters struct {
-	Releases  atomic.Int64 // MADV_DONTNEED releases of retired mappings
-	Evictions atomic.Int64 // explicit Evict calls (tests, cold benches)
+	Releases atomic.Int64 // MADV_DONTNEED releases of retired mappings
 }
 
 // PagingStats is the JSON-facing snapshot of a store's paging state:
@@ -26,7 +23,6 @@ type PagingCounters struct {
 // cost of the last snapshot open (header read + CRC + map).
 type PagingStats struct {
 	Releases        int64   `json:"releases"`
-	Evictions       int64   `json:"evictions"`
 	MappedBytes     int64   `json:"mapped_bytes"`
 	ResidentPages   int     `json:"resident_pages,omitempty"`
 	TotalPages      int     `json:"total_pages,omitempty"`
@@ -63,28 +59,4 @@ func (s *Snapshot) ReleasePages() {
 		s.counters.Releases.Add(1)
 	}
 	madviseDontNeed(s.data)
-}
-
-// Evict makes the snapshot cold: MADV_DONTNEED drops the mapping's
-// resident pages, and (on Linux) posix_fadvise(DONTNEED) asks the kernel
-// to drop the file's page cache too, so the next access is a real disk
-// fault rather than a minor re-map. Cold-cache benchmarks and the
-// eviction round-trip tests call this between iterations; it never
-// invalidates the mapping.
-func (s *Snapshot) Evict() error {
-	if !mmapSupported || len(s.data) == 0 {
-		return nil
-	}
-	if s.counters != nil {
-		s.counters.Evictions.Add(1)
-	}
-	madviseDontNeed(s.data)
-	f, err := os.Open(s.path)
-	if err != nil {
-		// The file may have been renamed over (retired snapshot); the
-		// madvise above already released the pages we can reach.
-		return nil
-	}
-	defer f.Close()
-	return dropFileCache(f)
 }

@@ -47,9 +47,7 @@ func BenchmarkEnumerateColdCache(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if err := snap.Evict(); err != nil {
-					b.Fatal(err)
-				}
+				evict(b, snap)
 				b.StartTimer()
 				res, err := kvcc.Enumerate(mapped, shape.k)
 				if err != nil {

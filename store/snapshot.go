@@ -46,7 +46,7 @@ type Snapshot struct {
 	unmap      func() error
 	closed     bool
 
-	// counters, when set by the owning store, receives release/eviction
+	// counters, when set by the owning store, receives release
 	// accounting; see paging.go.
 	counters *PagingCounters
 }

@@ -338,7 +338,7 @@ func (s *Store) Snapshot() *Snapshot {
 	return s.snap
 }
 
-// PagingStats reports the store's page releases and evictions, the live
+// PagingStats reports the store's page releases, the live
 // mapping's size and residency, and the cost of the last snapshot open.
 func (s *Store) PagingStats() PagingStats {
 	s.mu.Lock()
@@ -348,7 +348,6 @@ func (s *Store) PagingStats() PagingStats {
 	s.mu.Unlock()
 	ps := PagingStats{
 		Releases:        s.paging.Releases.Load(),
-		Evictions:       s.paging.Evictions.Load(),
 		SnapshotOpenMS:  openMS,
 		RetiredMappings: retired,
 	}

@@ -56,15 +56,15 @@ func TestValidateRejectsCorruptions(t *testing.T) {
 		}
 	})
 	t.Run("foreign label", func(t *testing.T) {
-		b := graph.NewBuilder(6)
+		var edges [][2]int64
 		for _, c := range [][]int64{{90, 91, 92, 93, 94}} {
 			for i := 0; i < len(c); i++ {
 				for j := i + 1; j < len(c); j++ {
-					b.AddEdge(c[i], c[j])
+					edges = append(edges, [2]int64{c[i], c[j]})
 				}
 			}
 		}
-		bad := &kvcc.Result{K: 4, Components: []*graph.Graph{b.Build()}}
+		bad := &kvcc.Result{K: 4, Components: []*graph.Graph{graph.FromLabeledEdges(edges)}}
 		if err := kvcc.Validate(g, bad); err == nil ||
 			!strings.Contains(err.Error(), "absent from the input") {
 			t.Fatalf("foreign labels accepted: %v", err)
