@@ -7,8 +7,7 @@
 // Usage:
 //
 //	kvccd -graph social=social.txt -graph web=web.txt [-addr :7474]
-//	      [-cache 64] [-max-k 0] [-parallel 1] [-index] [-index-max-k 0]
-//	      [-index-measures kvcc]
+//	      [-cache 64] [-max-k 0] [-parallel 1] [-index]
 //	      [-request-timeout 30s] [-compute-timeout 5m] [-max-timeout 0]
 //	      [-max-inflight 0] [-quota rps[:burst]] [-drain-timeout 10s]
 //	      [-data-dir DIR] [-checkpoint-every 0] [-demo]
@@ -16,12 +15,13 @@
 // -graph name=path registers an edge list under a query name and may be
 // repeated; files are ingested through graphio's two-pass streaming
 // loader, which builds the CSR graph in place so multi-million-edge SNAP
-// exports load with bounded memory. -index precomputes the full k-VCC cohesion tree of every
-// graph in the background at startup; once ready, enumerate queries for
-// any k are answered from the tree instead of running the algorithm
-// (hierarchy and cohesion queries build the index on demand either way).
-// -index-max-k truncates that tree at a level when only shallow queries
-// matter. -demo registers a small generated community graph under the
+// exports load with bounded memory. -index precomputes the full k-VCC
+// cohesion tree of every graph in the background at startup and after
+// every edit batch; once ready, enumerate queries for any k are answered
+// from the tree instead of running the algorithm (hierarchy, cohesion and
+// profile queries build the index of any measure on demand either way).
+// The tree always runs to its first empty level, so it answers every k.
+// -demo registers a small generated community graph under the
 // name "demo" so the server can be tried without any dataset.
 package main
 
@@ -38,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"kvcc"
 	"kvcc/gen"
 	"kvcc/graph"
 	"kvcc/server"
@@ -82,8 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxK            = fs.Int("max-k", 0, "reject queries with k above this (0 = no limit)")
 		parallel        = fs.Int("parallel", 1, "enumeration worker count")
 		index           = fs.Bool("index", false, "precompute the hierarchy index of every graph at startup")
-		indexMaxK       = fs.Int("index-max-k", 0, "truncate hierarchy index builds at this level (0 = full depth)")
-		indexMeasures   = fs.String("index-measures", "kvcc", "comma-separated cohesion measures to index eagerly with -index: kvcc | kecc | kcore")
 		requestTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request wait ceiling")
 		computeTimeout  = fs.Duration("compute-timeout", 5*time.Minute, "per-enumeration ceiling")
 		demo            = fs.Bool("demo", false, `also serve a generated community graph as "demo"`)
@@ -97,21 +94,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// flag stops at the first non-flag argument; every flag after it
+	// would be dropped without a word, so refuse any leftover.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "kvccd: unexpected argument %q; every option is a flag\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 	// With -data-dir, graphs may come from recovery alone — the emptiness
 	// check happens after server.Open, once we know what was recovered.
 	if len(graphs) == 0 && !*demo && *dataDir == "" {
 		fmt.Fprintln(stderr, "kvccd: no graphs to serve; pass -graph name=path, -demo, or -data-dir")
 		fs.Usage()
 		return 2
-	}
-	// server.New skips unknown measure names silently; a daemon should
-	// fail loudly on a typo instead, so validate the flag up front.
-	measures := strings.Split(*indexMeasures, ",")
-	for _, m := range measures {
-		if _, err := kvcc.ParseMeasure(strings.TrimSpace(m)); err != nil {
-			fmt.Fprintln(stderr, "kvccd: -index-measures:", err)
-			return 2
-		}
 	}
 
 	quotaRPS, quotaBurst, err := parseQuota(*quota)
@@ -127,8 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		RequestTimeout:  *requestTimeout,
 		ComputeTimeout:  *computeTimeout,
 		BuildIndex:      *index,
-		IndexMaxK:       *indexMaxK,
-		IndexMeasures:   measures,
 		DataDir:         *dataDir,
 		CheckpointEvery: *checkpointEvery,
 		MaxInflight:     *maxInflight,

@@ -16,7 +16,9 @@ func TestRunErrors(t *testing.T) {
 		{"dup-graph-name", []string{"-graph", "a=x", "-graph", "a=y"}, 2},
 		{"missing-file", []string{"-graph", "g=/does/not/exist"}, 1},
 		{"bad-flag", []string{"-wat"}, 2},
-		{"bad-measure", []string{"-demo", "-index-measures", "kvcc,bogus"}, 2},
+		{"removed-index-measures", []string{"-demo", "-index-measures", "kvcc,bogus"}, 2},
+		{"removed-index-max-k", []string{"-demo", "-index-max-k", "3"}, 2},
+		{"stray-arg", []string{"-demo", "stray", "-data-dir", t.TempDir()}, 2},
 		{"bad-quota", []string{"-demo", "-quota", "0"}, 2},
 		{"empty-data-dir", []string{"-data-dir", t.TempDir()}, 2},
 	}

@@ -78,8 +78,8 @@ func ParseMeasure(name string) (Measure, error) {
 func Measures() []Measure { return []Measure{KCore, KECC, KVCC} }
 
 // Options re-exports the engine options. Only KVCC consults them
-// (Algorithm, SSVDegreeCap, Parallelism); the other measures accept and
-// ignore them, so one option set can drive any measure.
+// (Algorithm, Parallelism); the other measures accept and ignore them, so
+// one option set can drive any measure.
 type Options = core.Options
 
 // Stats re-exports the shared work report.

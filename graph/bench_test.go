@@ -68,15 +68,6 @@ func BenchmarkBFSDistances(b *testing.B) {
 	}
 }
 
-// BenchmarkCommonNeighborCount measures the Theorem 8 inner loop.
-func BenchmarkCommonNeighborCount(b *testing.B) {
-	g := benchGraph(500, 0.2, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.CommonNeighborCount(i%400, (i+37)%400, 10)
-	}
-}
-
 // BenchmarkBuilder measures labelled graph construction from scratch.
 func BenchmarkBuilder(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))

@@ -122,30 +122,6 @@ func (g *Graph) AverageDegree() float64 {
 	return 2 * float64(g.m) / float64(len(g.labels))
 }
 
-// CommonNeighborCount returns |N(u) ∩ N(v)|, stopping early once the count
-// reaches limit (limit <= 0 means unbounded). Used by the strong side-vertex
-// test (Theorem 8), which only needs to know whether the count reaches k.
-func (g *Graph) CommonNeighborCount(u, v, limit int) int {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	count, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			count++
-			if limit > 0 && count >= limit {
-				return count
-			}
-			i++
-			j++
-		}
-	}
-	return count
-}
-
 // Edges appends every undirected edge (u,v) with u < v to dst and returns it.
 func (g *Graph) Edges(dst [][2]int) [][2]int {
 	if dst == nil {

@@ -150,19 +150,6 @@ func TestAdjacencySortedInvariant(t *testing.T) {
 
 func gr(g *Graph) *Graph { return g.Clone() }
 
-func TestCommonNeighborCount(t *testing.T) {
-	g := FromEdges(6, [][2]int{{0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 5}})
-	if got := g.CommonNeighborCount(0, 1, 0); got != 2 {
-		t.Fatalf("common(0,1) = %d, want 2", got)
-	}
-	if got := g.CommonNeighborCount(0, 1, 1); got != 1 {
-		t.Fatalf("common(0,1,limit 1) = %d, want 1", got)
-	}
-	if got := g.CommonNeighborCount(4, 5, 0); got != 0 {
-		t.Fatalf("common(4,5) = %d, want 0", got)
-	}
-}
-
 func TestInducedSubgraphLabels(t *testing.T) {
 	g := complete(5)
 	sub := g.InducedSubgraph([]int{4, 1, 3})
@@ -244,18 +231,6 @@ func TestBFSDistances(t *testing.T) {
 	g2 := FromEdges(3, [][2]int{{0, 1}})
 	if d := g2.BFSDistances(0); d[2] != -1 {
 		t.Fatalf("distances = %v", d)
-	}
-}
-
-func TestEccentricity(t *testing.T) {
-	if e := path(6).Eccentricity(0); e != 5 {
-		t.Fatalf("path ecc = %d", e)
-	}
-	if e := path(6).Eccentricity(3); e != 3 {
-		t.Fatalf("path mid ecc = %d", e)
-	}
-	if e := complete(5).Eccentricity(2); e != 1 {
-		t.Fatalf("complete ecc = %d", e)
 	}
 }
 

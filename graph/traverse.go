@@ -104,18 +104,6 @@ func (g *Graph) BFSDistances(src int) []int {
 	return dist
 }
 
-// Eccentricity returns the greatest BFS distance from src to any reachable
-// vertex.
-func (g *Graph) Eccentricity(src int) int {
-	ecc := 0
-	for _, d := range g.BFSDistances(src) {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
 // ConnectedAvoiding reports whether the graph with the vertices in avoid
 // removed is still connected (considering only the remaining vertices; a
 // remainder of zero vertices counts as disconnected, one vertex as

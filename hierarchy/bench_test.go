@@ -93,7 +93,7 @@ func BenchmarkAnyKFromTree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := 2 + i%tree.MaxK
-		if tree.LevelComponents(k) == nil && tree.Covers(k) && k <= tree.MaxK {
+		if tree.LevelComponents(k) == nil && k <= tree.MaxK {
 			b.Fatal("missing level")
 		}
 	}

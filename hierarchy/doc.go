@@ -11,7 +11,7 @@
 // (each call going through the same KVCC-ENUM pipeline as the kvcc
 // package), optionally in parallel across siblings, so the work shrinks
 // as the hierarchy deepens — Tree.Stats records exactly how much. Build
-// stops at the first level with no components or at Options.MaxK.
+// stops at the first level with no components, so every tree is complete.
 //
 // The finished Tree is an immutable serving index: Level(k) returns the
 // k-VCCs in the same canonical order a direct enumeration would, and

@@ -36,12 +36,10 @@ type Tree struct {
 	// Roots are the 1-VCCs: connected components with at least two
 	// vertices, in canonical order.
 	Roots []*Node
-	// MaxK is the deepest level with at least one component.
+	// MaxK is the deepest level with at least one component. The build
+	// runs until a level comes up empty, so every level past MaxK is
+	// empty and Level(k) is exact for every k.
 	MaxK int
-	// BuiltMaxK is the Options.MaxK the tree was built with (0 = the tree
-	// is complete: it was built until a level came up empty, so Level(k)
-	// is exact for every k).
-	BuiltMaxK int
 	// Measure is the cohesion measure the tree indexes. The zero value is
 	// cohesion.KVCC, so trees built (or persisted) before the measure
 	// existed read back as k-VCC hierarchies.
@@ -76,7 +74,7 @@ type LevelStats struct {
 // levels x |V| whenever the hierarchy narrows.
 type Stats struct {
 	// Levels is the number of levels enumeration ran at, including the
-	// final level that came up empty (when the build ran to exhaustion).
+	// final level that came up empty.
 	Levels int `json:"levels"`
 	// EnumeratedVertices sums, over every core.Enumerate call the build
 	// made, the vertex count of the subgraph passed in.
@@ -89,10 +87,6 @@ type Stats struct {
 
 // Options configures Build.
 type Options struct {
-	// MaxK stops the hierarchy at this level (0 = continue until a level
-	// is empty; termination is guaranteed because κ of any component is
-	// bounded by its degeneracy).
-	MaxK int
 	// Measure selects the cohesion measure the hierarchy indexes (default
 	// cohesion.KVCC). The incremental nested build is valid for every
 	// measure: k-cores, k-ECCs and k-VCCs all nest level-over-level, so
@@ -125,14 +119,13 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts Options) (*Tree, err
 	if g == nil {
 		return nil, errors.New("hierarchy: nil graph")
 	}
-	if opts.MaxK < 0 {
-		return nil, fmt.Errorf("hierarchy: negative MaxK %d", opts.MaxK)
-	}
 	coreOpts := core.Options{Algorithm: opts.Algorithm}
 
-	tree := &Tree{BuiltMaxK: opts.MaxK, Measure: opts.Measure}
+	tree := &Tree{Measure: opts.Measure}
 	frontier := []*Node{{Component: g}} // pseudo-parent for level 1
-	for k := 1; len(frontier) > 0 && (opts.MaxK == 0 || k <= opts.MaxK); k++ {
+	// The loop ends at the first empty level: κ of any component is
+	// bounded by its degeneracy.
+	for k := 1; len(frontier) > 0; k++ {
 		next, lvl, err := buildLevel(ctx, frontier, k, opts.Measure, coreOpts, opts.Parallelism)
 		if err != nil {
 			return nil, err
@@ -270,8 +263,7 @@ func (t *Tree) Level(k int) []*Node {
 
 // LevelComponents returns the component subgraphs at level k in canonical
 // order; the result is exactly what core.Enumerate(g, k) would return.
-// Beyond the built depth it returns nil, which is exact when the tree is
-// complete (BuiltMaxK 0): levels past MaxK are empty.
+// Beyond MaxK it returns nil, which is exact: levels past MaxK are empty.
 func (t *Tree) LevelComponents(k int) []*graph.Graph {
 	if k < 1 || k > len(t.levels) {
 		return nil
@@ -281,19 +273,6 @@ func (t *Tree) LevelComponents(k int) []*graph.Graph {
 		comps[i] = n.Component
 	}
 	return comps
-}
-
-// Covers reports whether Level(k) is exact: either k is within the built
-// depth, or the tree is complete so every deeper level is known empty. A
-// tree truncated by MaxK cannot answer for levels beyond it.
-func (t *Tree) Covers(k int) bool {
-	if k < 1 {
-		return false
-	}
-	if k <= t.MaxK {
-		return true
-	}
-	return t.BuiltMaxK == 0 || t.MaxK < t.BuiltMaxK
 }
 
 // Cohesion returns the structural cohesion of a vertex: the deepest level

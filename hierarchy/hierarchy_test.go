@@ -58,22 +58,6 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(nil, Options{}); err == nil {
 		t.Fatal("nil graph must error")
 	}
-	if _, err := Build(twoK4sSharedVertex(), Options{MaxK: -1}); err == nil {
-		t.Fatal("negative MaxK must error")
-	}
-}
-
-func TestBuildMaxKStops(t *testing.T) {
-	tree, err := Build(twoK4sSharedVertex(), Options{MaxK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.MaxK != 2 {
-		t.Fatalf("MaxK = %d, want 2", tree.MaxK)
-	}
-	if len(tree.Level(3)) != 0 {
-		t.Fatal("level 3 must be absent with MaxK 2")
-	}
 }
 
 func TestCohesionAndPath(t *testing.T) {
@@ -110,11 +94,11 @@ func TestLevelsMatchDirectEnumeration(t *testing.T) {
 		ChainOverlap: 2, ChainEvery: 2, BridgeEdges: 4,
 		NoiseVertices: 60, NoiseDegree: 2, Seed: 9,
 	})
-	tree, err := Build(g, Options{MaxK: 8})
+	tree, err := Build(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 1; k <= 8; k++ {
+	for k := 1; k <= tree.MaxK+1; k++ {
 		direct, _, err := core.Enumerate(g, k, core.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -295,35 +279,20 @@ func TestLevelComponentsCanonicalOrder(t *testing.T) {
 	}
 }
 
+// TestCovers: every tree is complete. The build enumerates one empty
+// level past MaxK and stops there, so Level(k) is exact for every k >= 1.
 func TestCovers(t *testing.T) {
-	g := twoK4sSharedVertex()
-	full, err := Build(g, Options{})
+	tree, err := Build(twoK4sSharedVertex(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{1, 3, 4, 100} {
-		if !full.Covers(k) {
-			t.Fatalf("complete tree must cover k=%d", k)
+	if tree.MaxK != 3 || tree.Stats.Levels != tree.MaxK+1 {
+		t.Fatalf("MaxK=%d Levels=%d, want 3 and one empty level past it", tree.MaxK, tree.Stats.Levels)
+	}
+	for _, k := range []int{0, 4, 100} {
+		if tree.Level(k) != nil || tree.LevelComponents(k) != nil {
+			t.Fatalf("level %d must be empty", k)
 		}
-	}
-	if full.Covers(0) {
-		t.Fatal("k=0 is never covered")
-	}
-	truncated, err := Build(g, Options{MaxK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !truncated.Covers(2) || truncated.Covers(3) {
-		t.Fatalf("MaxK=2 tree: Covers(2)=%v Covers(3)=%v, want true/false",
-			truncated.Covers(2), truncated.Covers(3))
-	}
-	// MaxK above the natural depth still yields a complete tree.
-	deep, err := Build(g, Options{MaxK: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !deep.Covers(10) || !deep.Covers(50) {
-		t.Fatal("tree that exhausted below MaxK must cover every k")
 	}
 }
 

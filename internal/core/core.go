@@ -69,10 +69,6 @@ type Options struct {
 	// Algorithm selects the GLOBAL-CUT variant. The zero value is VCCE;
 	// kvcc.Enumerate defaults to VCCEStar.
 	Algorithm Algorithm
-	// SSVDegreeCap skips the strong-side-vertex test for vertices whose
-	// degree exceeds the cap (0 = no cap). Skipping is a sound
-	// under-approximation: it can only reduce pruning, never correctness.
-	SSVDegreeCap int
 	// Parallelism is the number of workers processing independent
 	// partitioned subgraphs. Values below 2 select the deterministic
 	// serial loop.

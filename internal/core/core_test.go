@@ -384,20 +384,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestSSVDegreeCapStillCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	g := plantedGraph(rng, 5, 14, 0.7, 2)
-	k := 6
-	uncapped := labelSets(enumerate(t, g, k, VCCEStar))
-	capped, _, err := Enumerate(g, k, Options{Algorithm: VCCEStar, SSVDegreeCap: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalSets(uncapped, labelSets(capped)) {
-		t.Fatal("SSV degree cap changed the result")
-	}
-}
-
 func TestStatsPlausibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := plantedGraph(rng, 6, 14, 0.75, 2)

@@ -82,10 +82,9 @@ type cutFinder struct {
 
 	useNS, useGS bool
 
-	hint         *ssvHint
-	ssvMemo      []int8
-	ssvDegreeCap int
-	stats        *Stats
+	hint    *ssvHint
+	ssvMemo []int8
+	stats   *Stats
 
 	groupID []int
 	groups  [][]int
@@ -129,7 +128,6 @@ func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, cert *sparse.Certifica
 	cf.useNS = e.opts.Algorithm.neighborSweep()
 	cf.useGS = e.opts.Algorithm.groupSweep()
 	cf.hint = hint
-	cf.ssvDegreeCap = e.opts.SSVDegreeCap
 	cf.stats = stats
 	cf.ssvMemo = growClear(cf.ssvMemo, n)
 	cf.pru = growClear(cf.pru, n)

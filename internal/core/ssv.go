@@ -113,9 +113,7 @@ func (h *ssvHint) preserved(g *graph.Graph, v int) bool {
 
 // checkSSV runs the Theorem 8 test: v is a strong side-vertex if every
 // pair of its neighbors is adjacent or shares at least k common neighbors.
-// Vertices above the degree cap are reported non-SSV (a sound
-// under-approximation). The common-neighbor count stops as soon as it
-// reaches k.
+// The common-neighbor count stops as soon as it reaches k.
 //
 // The pairwise tests used to dominate enumeration profiles as binary
 // searches (adjacency) and sorted merges (common neighbors). Instead, the
@@ -125,9 +123,6 @@ func (h *ssvHint) preserved(g *graph.Graph, v int) bool {
 func (cf *cutFinder) checkSSV(v int) bool {
 	g := cf.g
 	nbrs := g.Neighbors(v)
-	if cf.ssvDegreeCap > 0 && len(nbrs) > cf.ssvDegreeCap {
-		return false
-	}
 	for i := 0; i < len(nbrs); i++ {
 		a := nbrs[i]
 		cf.nbGen++

@@ -66,14 +66,6 @@ func WithParallelism(workers int) Option {
 	return func(o *core.Options) { o.Parallelism = workers }
 }
 
-// WithSSVDegreeCap skips the strong side-vertex test for vertices whose
-// degree exceeds the cap. This bounds the quadratic neighborhood test on
-// hub vertices and is a sound under-approximation (less pruning, same
-// result). 0 disables the cap.
-func WithSSVDegreeCap(cap int) Option {
-	return func(o *core.Options) { o.SSVDegreeCap = cap }
-}
-
 // Result is the output of Enumerate.
 type Result struct {
 	// K is the connectivity parameter the enumeration ran with.

@@ -419,17 +419,6 @@ func (a *admission) snapshot() *AdmissionStats {
 	buf := make([]float64, n)
 	copy(buf, a.waits[:n])
 	a.mu.Unlock()
-	sort.Float64s(buf)
-	pick := func(q float64) float64 {
-		if len(buf) == 0 {
-			return 0
-		}
-		idx := int(q * float64(len(buf)))
-		if idx >= len(buf) {
-			idx = len(buf) - 1
-		}
-		return buf[idx]
-	}
 	exp := a.classes[classExpensive]
 	return &AdmissionStats{
 		Draining:          a.draining.Load(),
@@ -446,9 +435,9 @@ func (a *admission) snapshot() *AdmissionStats {
 		ShedLatency:       c.shedLatency,
 		ShedDraining:      c.shedDraining,
 		QuotaRejections:   c.quotaRejections,
-		QueueWaitP50MS:    pick(0.50),
-		QueueWaitP95MS:    pick(0.95),
-		QueueWaitP99MS:    pick(0.99),
+		QueueWaitP50MS:    quantile(buf, 0.50),
+		QueueWaitP95MS:    quantile(buf, 0.95),
+		QueueWaitP99MS:    quantile(buf, 0.99),
 		Degraded:          c.degraded,
 		TimeoutsClamped:   c.timeoutsClamped,
 		IdempotentReplays: c.idempotentReplays,

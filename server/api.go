@@ -163,12 +163,9 @@ type HierarchyResponse struct {
 	// MaxK is the deepest level with at least one component.
 	MaxK int `json:"max_k"`
 	// Size is the total number of components across all levels.
-	Size int `json:"size"`
-	// Complete reports that the tree was built to exhaustion, so Level(k)
-	// is exact for every k (a MaxK-truncated index reports false).
-	Complete bool             `json:"complete"`
-	BuildMS  float64          `json:"build_ms"`
-	Levels   []HierarchyLevel `json:"levels"`
+	Size    int              `json:"size"`
+	BuildMS float64          `json:"build_ms"`
+	Levels  []HierarchyLevel `json:"levels"`
 	// Stats describes the enumeration work of the index build.
 	Stats hierarchy.Stats `json:"build_stats"`
 }
@@ -236,12 +233,9 @@ type IndexInfo struct {
 	Measure string `json:"measure,omitempty"`
 	// State is "building", "ready" or "failed".
 	State string `json:"state"`
-	// MaxK is the configured build cap (0 = full depth).
-	MaxK int `json:"max_k,omitempty"`
-	// TreeMaxK, Size, Complete and BuildMS describe a ready index.
+	// TreeMaxK, Size and BuildMS describe a ready index.
 	TreeMaxK int     `json:"tree_max_k,omitempty"`
 	Size     int     `json:"size,omitempty"`
-	Complete bool    `json:"complete,omitempty"`
 	BuildMS  float64 `json:"build_ms,omitempty"`
 }
 

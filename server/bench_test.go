@@ -185,9 +185,10 @@ func BenchmarkMeasureEnumerateCold(b *testing.B) {
 }
 
 // BenchmarkMeasureIndexServed is BenchmarkAnyKIndexServed for the kecc
-// index: rotating k served from the eagerly built per-measure index.
+// index: rotating k served from the per-measure index the hierarchy
+// request builds on demand.
 func BenchmarkMeasureIndexServed(b *testing.B) {
-	s := New(Config{BuildIndex: true, IndexMeasures: []string{"kecc"}})
+	s := New(Config{})
 	s.AddGraph("bench", benchGraph())
 	ctx := context.Background()
 	hier, err := s.Hierarchy(ctx, HierarchyRequest{Graph: "bench", Measure: "kecc"})

@@ -29,7 +29,6 @@ type graphIndex struct {
 	graph   string
 	measure cohesion.Measure
 	gen     uint64
-	maxK    int // Options.MaxK the build uses (0 = full depth)
 	ready   chan struct{}
 	cancel  context.CancelFunc
 
@@ -48,7 +47,7 @@ type graphIndex struct {
 }
 
 // levelResult returns the (memoized) Result for level k of a finished
-// build. Callers must have checked done(), err == nil and tree.Covers(k).
+// build. Callers must have checked done() and err == nil.
 func (ix *graphIndex) levelResult(k int) *kvcc.Result {
 	ix.resMu.Lock()
 	defer ix.resMu.Unlock()
@@ -110,16 +109,14 @@ func (s *Server) retireIndex(name string, gen uint64) {
 	}
 }
 
-// resetIndex retires any older-generation builds and starts one per
-// configured index measure for e, unless a build of e's generation or
-// newer is already installed for that measure.
+// resetIndex retires any older-generation builds and starts the kvcc
+// build for e, unless a kvcc build of e's generation or newer is already
+// installed. Other measures are built on demand by indexFor.
 func (s *Server) resetIndex(name string, e graphEntry) {
 	s.retireIndex(name, e.gen)
 	s.indexMu.Lock()
-	for _, m := range s.indexMeasures {
-		if cur := s.indexes[indexKey{graph: name, measure: m}]; cur == nil || cur.gen < e.gen {
-			s.startIndexBuildLocked(name, e, m)
-		}
+	if cur := s.indexes[indexKey{graph: name, measure: cohesion.KVCC}]; cur == nil || cur.gen < e.gen {
+		s.startIndexBuildLocked(name, e, cohesion.KVCC)
 	}
 	s.indexMu.Unlock()
 }
@@ -139,7 +136,6 @@ func (s *Server) startIndexBuildLocked(name string, e graphEntry, m cohesion.Mea
 		graph:   name,
 		measure: m,
 		gen:     e.gen,
-		maxK:    s.cfg.IndexMaxK,
 		ready:   make(chan struct{}),
 		cancel:  cancel,
 	}
@@ -150,7 +146,6 @@ func (s *Server) startIndexBuildLocked(name string, e graphEntry, m cohesion.Mea
 		defer cancel()
 		begin := time.Now()
 		tree, err := hierarchy.BuildContext(ctx, e.g, hierarchy.Options{
-			MaxK:        ix.maxK,
 			Measure:     m,
 			Algorithm:   kvcc.VCCEStar,
 			Parallelism: s.cfg.Parallelism,
@@ -176,7 +171,6 @@ func (s *Server) installReadyIndex(name string, e graphEntry, tree *hierarchy.Tr
 		graph:   name,
 		measure: tree.Measure,
 		gen:     e.gen,
-		maxK:    s.cfg.IndexMaxK,
 		ready:   make(chan struct{}),
 		cancel:  func() {},
 		tree:    tree,
@@ -279,13 +273,12 @@ func (s *Server) Hierarchy(ctx context.Context, req HierarchyRequest) (*Hierarch
 	}
 	tree := ix.tree
 	resp := &HierarchyResponse{
-		Graph:    req.Graph,
-		Measure:  wireMeasure(m),
-		MaxK:     tree.MaxK,
-		Size:     tree.Size(),
-		Complete: tree.Covers(tree.MaxK + 1),
-		BuildMS:  ix.buildMS,
-		Stats:    tree.Stats,
+		Graph:   req.Graph,
+		Measure: wireMeasure(m),
+		MaxK:    tree.MaxK,
+		Size:    tree.Size(),
+		BuildMS: ix.buildMS,
+		Stats:   tree.Stats,
 	}
 	for k := 1; k <= tree.MaxK; k++ {
 		level := tree.LevelComponents(k)
@@ -406,7 +399,7 @@ func (s *Server) indexInfos() []IndexInfo {
 	defer s.indexMu.Unlock()
 	out := make([]IndexInfo, 0, len(s.indexes))
 	for key, ix := range s.indexes {
-		info := IndexInfo{Graph: key.graph, Measure: wireMeasure(key.measure), MaxK: ix.maxK}
+		info := IndexInfo{Graph: key.graph, Measure: wireMeasure(key.measure)}
 		switch {
 		case !ix.done():
 			info.State = "building"
@@ -416,7 +409,6 @@ func (s *Server) indexInfos() []IndexInfo {
 			info.State = "ready"
 			info.Size = ix.tree.Size()
 			info.TreeMaxK = ix.tree.MaxK
-			info.Complete = ix.tree.Covers(ix.tree.MaxK + 1)
 			info.BuildMS = ix.buildMS
 		}
 		out = append(out, info)

@@ -51,17 +51,13 @@ func TestIndexServedByteEqualsCacheServed(t *testing.T) {
 	ctx := context.Background()
 
 	hier := waitForIndex(t, indexed, "g")
-	if !hier.Complete {
-		t.Fatal("full-depth build must report complete")
-	}
-
 	for k := 2; k <= hier.MaxK+1; k++ {
 		a, err := indexed.Enumerate(ctx, EnumerateRequest{Graph: "g", K: k, IncludeMetrics: true})
 		if err != nil {
 			t.Fatalf("indexed enumerate k=%d: %v", k, err)
 		}
 		if !a.IndexServed {
-			t.Fatalf("k=%d not index-served with a ready complete index", k)
+			t.Fatalf("k=%d not index-served with a ready index", k)
 		}
 		if _, err := plain.Enumerate(ctx, EnumerateRequest{Graph: "g", K: k, IncludeMetrics: true}); err != nil {
 			t.Fatalf("plain enumerate k=%d: %v", k, err)
@@ -356,63 +352,6 @@ func TestIndexEndpointsHTTP(t *testing.T) {
 	}
 	if stats.Enumerations.IndexServed < 3 {
 		t.Fatalf("index-served count = %d, want >= 3", stats.Enumerations.IndexServed)
-	}
-}
-
-// TestTruncatedIndexCapsServing: a hierarchy truncated by IndexMaxK is
-// incomplete, serves exactly the levels up to its cap (identically to a
-// fresh enumeration), leaves deeper levels to the enumeration path, and
-// caps the cohesion and κ it reports at the truncation level.
-func TestTruncatedIndexCapsServing(t *testing.T) {
-	const maxK = 3
-	s := New(Config{BuildIndex: true, IndexMaxK: maxK})
-	s.AddGraph("g", indexTestGraph())
-	ref := New(Config{})
-	ref.AddGraph("g", indexTestGraph())
-	ctx := context.Background()
-
-	hier := waitForIndex(t, s, "g")
-	if hier.Complete || hier.MaxK != maxK {
-		t.Fatalf("truncated hierarchy: complete=%v MaxK=%d, want incomplete at %d", hier.Complete, hier.MaxK, maxK)
-	}
-	for _, k := range []int{2, 3, 5} {
-		got, err := s.Enumerate(ctx, EnumerateRequest{Graph: "g", K: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.IndexServed != (k <= maxK) {
-			t.Fatalf("k=%d: index served = %v with the index capped at %d", k, got.IndexServed, maxK)
-		}
-		want, err := ref.Enumerate(ctx, EnumerateRequest{Graph: "g", K: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotJSON, _ := json.Marshal(got.Components)
-		wantJSON, _ := json.Marshal(want.Components)
-		if string(gotJSON) != string(wantJSON) {
-			t.Fatalf("k=%d: components differ from a fresh enumeration", k)
-		}
-	}
-
-	deep, err := ref.Enumerate(ctx, EnumerateRequest{Graph: "g", K: 5})
-	if err != nil || len(deep.Components) == 0 {
-		t.Fatalf("test graph has no 5-VCC (err %v)", err)
-	}
-	v := deep.Components[0].Vertices[0]
-	coh, err := s.Cohesion(ctx, CohesionRequest{Graph: "g", Vertices: []int64{v}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coh.Results) != 1 || coh.Results[0].Cohesion != maxK {
-		t.Fatalf("vertex %d of a 5-VCC: cohesion %+v, want the cap %d", v, coh.Results, maxK)
-	}
-	prof, err := s.Profile(ctx, ProfileRequest{Graph: "g", Vertices: []int64{v}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pv := prof.PerVertex[0]; pv.Core < pv.Lambda || pv.Lambda < pv.Kappa || pv.Kappa != maxK {
-		t.Fatalf("vertex %d of a 5-VCC profiles as core=%d λ=%d κ=%d, want κ capped at %d",
-			v, pv.Core, pv.Lambda, pv.Kappa, maxK)
 	}
 }
 

@@ -104,12 +104,13 @@ func TestKVCCWireBytesHaveNoMeasure(t *testing.T) {
 }
 
 // TestMeasureIndexServedByteEqualsEnumerated mirrors the kvcc
-// byte-equality test for the two new measures: with all three indexes
-// built eagerly, an index-served kecc/kcore answer must be byte-identical
-// to what a plain server's enumeration path returns.
+// byte-equality test for the two new measures: with the kvcc index built
+// eagerly and the kecc and kcore indexes built on demand by the hierarchy
+// endpoint, an index-served kecc/kcore answer must be byte-identical to
+// what a plain server's enumeration path returns.
 func TestMeasureIndexServedByteEqualsEnumerated(t *testing.T) {
 	g := indexTestGraph()
-	indexed := New(Config{BuildIndex: true, IndexMeasures: []string{"kvcc", "kecc", "kcore"}})
+	indexed := New(Config{BuildIndex: true})
 	indexed.AddGraph("g", g)
 	plain := New(Config{})
 	plain.AddGraph("g", g)
@@ -120,9 +121,6 @@ func TestMeasureIndexServedByteEqualsEnumerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s hierarchy wait: %v", measure, err)
 		}
-		if !hier.Complete {
-			t.Fatalf("%s full-depth build must report complete", measure)
-		}
 		if hier.Measure != measure {
 			t.Fatalf("hierarchy response measure = %q, want %q", hier.Measure, measure)
 		}
@@ -132,7 +130,7 @@ func TestMeasureIndexServedByteEqualsEnumerated(t *testing.T) {
 				t.Fatalf("indexed %s enumerate k=%d: %v", measure, k, err)
 			}
 			if !a.IndexServed {
-				t.Fatalf("%s k=%d not index-served with a ready complete index", measure, k)
+				t.Fatalf("%s k=%d not index-served with a ready index", measure, k)
 			}
 			b, err := plain.Enumerate(ctx, EnumerateRequest{Graph: "g", K: k, Measure: measure, IncludeMetrics: true})
 			if err != nil {

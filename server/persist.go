@@ -282,11 +282,11 @@ func (s *Server) dropStore(name string) {
 }
 
 // recoverIndex installs the persisted hierarchy indexes (one per measure)
-// for a just-recovered graph, for each measure whose file exists, matches
-// the recovered version exactly, and was built with the same depth cap
-// the server would use now. Measures the disk could not supply fall back
-// to the configured background build via resetIndex, which skips the
-// measures already installed at this generation.
+// for a just-recovered graph, for each measure whose file exists and
+// loads as current (the store decides staleness). With BuildIndex set, a
+// kvcc index the disk could not supply falls back to the background build
+// via resetIndex, which skips an index already installed at this
+// generation.
 func (s *Server) recoverIndex(name string, e graphEntry, st *store.Store) {
 	for _, m := range cohesion.Measures() {
 		tree, buildMS, ok, err := st.LoadIndex(m)
@@ -294,7 +294,7 @@ func (s *Server) recoverIndex(name string, e graphEntry, st *store.Store) {
 			s.notePersistError("index load for "+name, err)
 			continue
 		}
-		if !ok || tree.BuiltMaxK != s.cfg.IndexMaxK {
+		if !ok {
 			continue
 		}
 		s.installReadyIndex(name, e, tree, buildMS)

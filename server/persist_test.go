@@ -3,7 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"sync"
@@ -11,6 +14,7 @@ import (
 	"time"
 
 	"kvcc/graph"
+	"kvcc/hierarchy"
 	"kvcc/internal/difftest"
 )
 
@@ -330,8 +334,7 @@ func waitIndexSave(t *testing.T, s *Server) {
 }
 
 // TestStaleIndexIgnored: an index persisted at one version must not serve
-// a graph recovered at another (WAL records past the save), nor one built
-// with a different depth cap.
+// a graph recovered at another (WAL records past the save).
 func TestStaleIndexIgnored(t *testing.T) {
 	cfg := persistCfg(t)
 	cfg.BuildIndex = true
@@ -379,32 +382,107 @@ func TestStaleIndexIgnored(t *testing.T) {
 	}
 }
 
-// TestIndexDepthCapMismatchIgnored: an index saved with one IndexMaxK is
-// not loaded by a server configured with another.
+// TestIndexDepthCapMismatchIgnored: an index file holding a tree cut off
+// at a depth cap (as builds with a cap wrote them) answers no level past
+// the cap, so recovery must not serve it: the server rebuilds the full
+// tree and saves it over the file, and the next recovery loads that.
 func TestIndexDepthCapMismatchIgnored(t *testing.T) {
 	cfg := persistCfg(t)
-	cfg.BuildIndex = true
-	cfg.IndexMaxK = 0
 	a, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.AddGraph("fig2", twoCliques())
-	if _, err := a.Hierarchy(context.Background(), HierarchyRequest{Graph: "fig2"}); err != nil {
+	full := hierarchyJSON(t, a, "fig2")
+	waitIndexSave(t, a)
+	path := filepath.Join(a.graphDir("fig2"), "index.kvcc")
+	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitIndexSave(t, a)
+	truncateIndexFile(t, path, 2)
 
-	cfg2 := cfg
-	cfg2.BuildIndex = false
-	cfg2.IndexMaxK = 2
-	b, err := Open(cfg2)
+	cfg.BuildIndex = true
+	b, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 	if ps := b.Stats().Persistence; ps.IndexLoads != 0 {
-		t.Fatalf("index with BuiltMaxK=0 loaded into an IndexMaxK=2 server (%d loads)", ps.IndexLoads)
+		t.Fatalf("index truncated at k=2 loaded (%d loads)", ps.IndexLoads)
+	}
+	if got := hierarchyJSON(t, b, "fig2"); !bytes.Equal(got, full) {
+		t.Fatalf("hierarchy after recovery:\n%s\nwant the full tree:\n%s", got, full)
+	}
+	waitIndexSave(t, b)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.BuildIndex = false
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if ps := c.Stats().Persistence; ps.IndexLoads != 1 {
+		t.Fatalf("rebuilt index not loaded (%d loads)", ps.IndexLoads)
+	}
+	if got := hierarchyJSON(t, c, "fig2"); !bytes.Equal(got, full) {
+		t.Fatalf("hierarchy from the rebuilt file:\n%s\nwant:\n%s", got, full)
+	}
+}
+
+// persistedIndex mirrors the store's gob image of one hierarchy index.
+// Gob matches fields by name, so a test can decode and re-encode the
+// file without the store's unexported types.
+type persistedIndex struct {
+	BuiltMaxK   int
+	BuildMS     float64
+	Stats       hierarchy.Stats
+	LevelCounts []int
+	Nodes       []persistedNode
+}
+
+type persistedNode struct {
+	Parent  int
+	M       int
+	Offsets []int
+	Edges   []int
+	Labels  []int64
+}
+
+// truncateIndexFile cuts the index file at path down to its first
+// depthCap levels and records depthCap as the build's cap, refreshing
+// both checksums of the 40-byte header: the file a build capped at
+// depthCap would have written.
+func truncateIndexFile(t *testing.T, path string, depthCap int) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const headerLen = 40
+	var p persistedIndex
+	if err := gob.NewDecoder(bytes.NewReader(raw[headerLen:])).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.LevelCounts) <= depthCap {
+		t.Fatalf("tree has %d levels; a cap at %d cuts nothing off", len(p.LevelCounts), depthCap)
+	}
+	kept := 0
+	for _, c := range p.LevelCounts[:depthCap] {
+		kept += c
+	}
+	p.BuiltMaxK, p.LevelCounts, p.Nodes = depthCap, p.LevelCounts[:depthCap], p.Nodes[:kept]
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(&p); err != nil {
+		t.Fatal(err)
+	}
+	table := crc64.MakeTable(crc64.ECMA)
+	header := raw[:headerLen]
+	binary.LittleEndian.PutUint64(header[24:32], crc64.Checksum(body.Bytes(), table))
+	binary.LittleEndian.PutUint64(header[32:40], crc64.Checksum(header[0:32], table))
+	if err := os.WriteFile(path, append(header, body.Bytes()...), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

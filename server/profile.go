@@ -82,8 +82,7 @@ type RecommendedK struct {
 // VertexProfile is one vertex's cohesion triple. Core is its core number,
 // Lambda the deepest k with a k-ECC containing it, Kappa the deepest k
 // with a k-VCC containing it; Whitney's inequality guarantees
-// Core >= Lambda >= Kappa. A hierarchy truncated by IndexMaxK caps the
-// reported values at that depth.
+// Core >= Lambda >= Kappa.
 type VertexProfile struct {
 	Vertex int64 `json:"vertex"`
 	Core   int   `json:"core"`

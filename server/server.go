@@ -79,25 +79,15 @@ type Config struct {
 	// Parallelism is passed through to kvcc.WithParallelism for every
 	// enumeration (default 1: deterministic serial execution).
 	Parallelism int
-	// BuildIndex starts a background hierarchy-index build for every
-	// graph as it is registered. Once a graph's index is ready, enumerate
-	// and components-containing queries for any covered k are served from
-	// the tree without touching the cache or running an enumeration; until
-	// then they fall back to the cache/singleflight path. The hierarchy
-	// and cohesion endpoints build the index on demand regardless of this
-	// flag — BuildIndex only controls eager builds at registration time.
+	// BuildIndex starts a background k-VCC hierarchy-index build for
+	// every graph as it is registered and after every edit batch. Once a
+	// graph's index is ready, enumerate and components-containing queries
+	// for any k are served from the tree without touching the cache or
+	// running an enumeration; until then they fall back to the
+	// cache/singleflight path. The hierarchy, cohesion and profile
+	// endpoints build the index of any measure on demand regardless of
+	// this flag — BuildIndex only controls eager kvcc builds.
 	BuildIndex bool
-	// IndexMaxK truncates index builds at this level (0 = build the full
-	// hierarchy until a level is empty). A truncated index serves only
-	// k <= IndexMaxK; deeper queries fall back to direct enumeration.
-	IndexMaxK int
-	// IndexMeasures names the cohesion measures BuildIndex builds eagerly
-	// for every registered graph ("kvcc", "kecc", "kcore"; default: kvcc
-	// only). Measures not listed are still indexed on demand by the
-	// hierarchy, cohesion and profile endpoints. Unknown names are
-	// ignored — validate up front with kvcc.ParseMeasure where an error
-	// is wanted (kvccd rejects bad names at startup).
-	IndexMeasures []string
 	// IndexBuildTimeout bounds one hierarchy-index build (default 10m).
 	// It is independent of ComputeTimeout because an index build covers
 	// every level, not one k.
@@ -202,10 +192,6 @@ type Server struct {
 	flight *flightGroup
 	adm    *admission
 	start  time.Time
-
-	// indexMeasures is cfg.IndexMeasures parsed and deduplicated at New:
-	// the measures every eager (BuildIndex) and repair build covers.
-	indexMeasures []cohesion.Measure
 
 	mu      sync.Mutex
 	graphs  map[string]graphEntry
@@ -345,36 +331,19 @@ var testHookEnumerateStarted func()
 // New returns a Server with no graphs loaded.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	// Unknown measure names degrade by being skipped rather than failing
-	// (New has no error return); an empty (or all-unknown) list selects
-	// the kvcc default, preserving pre-measure behavior exactly.
-	var measures []cohesion.Measure
-	seen := map[cohesion.Measure]bool{}
-	for _, name := range cfg.IndexMeasures {
-		m, err := kvcc.ParseMeasure(name)
-		if err != nil || seen[m] {
-			continue
-		}
-		seen[m] = true
-		measures = append(measures, m)
-	}
-	if len(measures) == 0 {
-		measures = []cohesion.Measure{cohesion.KVCC}
-	}
 	return &Server{
-		cfg:           cfg,
-		cache:         newResultCache(cfg.CacheSize),
-		flight:        newFlightGroup(),
-		adm:           newAdmission(cfg),
-		start:         time.Now(),
-		indexMeasures: measures,
-		graphs:        make(map[string]graphEntry),
-		prev:          make(map[prevKey]*list.Element),
-		seedOrder:     list.New(),
-		indexes:       make(map[indexKey]*graphIndex),
-		measureStats:  make(map[cohesion.Measure]*MeasureCounters),
-		stores:        make(map[string]*store.Store),
-		idem:          make(map[string]*idemTable),
+		cfg:          cfg,
+		cache:        newResultCache(cfg.CacheSize),
+		flight:       newFlightGroup(),
+		adm:          newAdmission(cfg),
+		start:        time.Now(),
+		graphs:       make(map[string]graphEntry),
+		prev:         make(map[prevKey]*list.Element),
+		seedOrder:    list.New(),
+		indexes:      make(map[indexKey]*graphIndex),
+		measureStats: make(map[cohesion.Measure]*MeasureCounters),
+		stores:       make(map[string]*store.Store),
+		idem:         make(map[string]*idemTable),
 	}
 }
 
@@ -587,7 +556,7 @@ func (s *Server) result(ctx context.Context, graphName string, k int, m cohesion
 		return nil, srcComputed, err
 	}
 
-	if ix := s.readyIndex(graphName, entry.gen, m); ix != nil && ix.tree.Covers(k) {
+	if ix := s.readyIndex(graphName, entry.gen, m); ix != nil {
 		s.statsMu.Lock()
 		s.enum.IndexServed++
 		s.statsMu.Unlock()

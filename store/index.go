@@ -52,6 +52,10 @@ const indexHeader = 40
 
 // indexPayload is the gob image of one hierarchy.Tree.
 type indexPayload struct {
+	// BuiltMaxK is always written as 0. Older builds could truncate a
+	// tree at a depth cap and recorded the cap here; such a tree cannot
+	// answer for levels past the cap, so readIndex treats a nonzero value
+	// as stale and the caller rebuilds.
 	BuiltMaxK int
 	BuildMS   float64
 	Stats     hierarchy.Stats
@@ -75,9 +79,8 @@ type indexNode struct {
 // flattenTree renders a finished tree into its gob image.
 func flattenTree(t *hierarchy.Tree, buildMS float64) (*indexPayload, error) {
 	p := &indexPayload{
-		BuiltMaxK: t.BuiltMaxK,
-		BuildMS:   buildMS,
-		Stats:     t.Stats,
+		BuildMS: buildMS,
+		Stats:   t.Stats,
 	}
 	nodeIdx := make(map[*hierarchy.Node]int)
 	for k := 1; k <= t.MaxK; k++ {
@@ -139,7 +142,7 @@ func (p *indexPayload) reassembleTree() (*hierarchy.Tree, error) {
 	if i != len(p.Nodes) {
 		return nil, fmt.Errorf("store: index: %d nodes not covered by level counts", len(p.Nodes)-i)
 	}
-	return hierarchy.FromLevels(levels, p.BuiltMaxK, p.Stats), nil
+	return hierarchy.FromLevels(levels, p.Stats), nil
 }
 
 // writeIndex atomically persists a finished tree stamped with the graph
@@ -179,9 +182,10 @@ func writeIndex(path string, t *hierarchy.Tree, version uint64, buildMS float64)
 // readIndex loads a persisted index, requiring its stamp to equal the
 // recovered graph version and its measure id to equal the measure the
 // caller expects for this file. It returns ok=false — not an error — when
-// the file is missing or stamped with a different version (stale after a
-// crash that lost the index but replayed newer WAL records, say); errors
-// are reserved for a present, matching file that is damaged.
+// the file is missing, stamped with a different version (stale after a
+// crash that lost the index but replayed newer WAL records, say) or holds
+// a depth-capped tree (nonzero BuiltMaxK); errors are reserved for a
+// present, matching file that is damaged.
 func readIndex(path string, wantVersion uint64, wantMeasure cohesion.Measure) (t *hierarchy.Tree, buildMS float64, ok bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -224,6 +228,9 @@ func readIndex(path string, wantVersion uint64, wantMeasure cohesion.Measure) (t
 	var payload indexPayload
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&payload); err != nil {
 		return nil, 0, false, &corruptError{path: path, msg: fmt.Sprintf("gob: %v", err)}
+	}
+	if payload.BuiltMaxK != 0 {
+		return nil, 0, false, nil // truncated tree: incomplete past its cap
 	}
 	tree, err := payload.reassembleTree()
 	if err != nil {

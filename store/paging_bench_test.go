@@ -84,7 +84,7 @@ func BenchmarkCompactToStore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(st.Snapshot().MappedBytes())
+		b.SetBytes(st.snap.MappedBytes())
 		benchComponents = g.NumEdges()
 	}
 }

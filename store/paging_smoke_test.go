@@ -67,7 +67,7 @@ func TestColdSmokeServe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Enumerate: %v", err)
 	}
-	if resident, total, probed := st.Snapshot().Residency(); probed {
+	if resident, total, probed := st.snap.Residency(); probed {
 		t.Logf("served scan with %d/%d mapping pages resident at exit (%d components)",
 			resident, total, len(res.Components))
 	}

@@ -328,16 +328,6 @@ func (s *Store) CompactToStore(d *graph.Delta, key string) (*graph.Graph, error)
 	return g, nil
 }
 
-// Snapshot returns the live snapshot backing the recovered graph, or nil
-// for a store that has never been checkpointed (or whose last checkpoint
-// installed a heap graph). Tests and benchmarks use it to evict or probe
-// the mapping.
-func (s *Store) Snapshot() *Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snap
-}
-
 // PagingStats reports the store's page releases, the live
 // mapping's size and residency, and the cost of the last snapshot open.
 func (s *Store) PagingStats() PagingStats {

@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -467,9 +471,9 @@ func TestIndexRoundTrip(t *testing.T) {
 	if buildMS != 12.5 {
 		t.Fatalf("buildMS = %v, want 12.5", buildMS)
 	}
-	if got.MaxK != tree.MaxK || got.BuiltMaxK != tree.BuiltMaxK || got.Size() != tree.Size() {
-		t.Fatalf("tree shape: got (maxK=%d built=%d size=%d), want (%d, %d, %d)",
-			got.MaxK, got.BuiltMaxK, got.Size(), tree.MaxK, tree.BuiltMaxK, tree.Size())
+	if got.MaxK != tree.MaxK || got.Size() != tree.Size() {
+		t.Fatalf("tree shape: got (maxK=%d size=%d), want (%d, %d)",
+			got.MaxK, got.Size(), tree.MaxK, tree.Size())
 	}
 	for k := 1; k <= tree.MaxK; k++ {
 		wantSigs := difftest.Signatures(tree.LevelComponents(k))
@@ -493,5 +497,54 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := readIndex(path, 42, cohesion.KVCC); !IsCorrupt(err) {
 		t.Fatalf("damaged index: err = %v, want corruption", err)
+	}
+}
+
+// TestTruncatedIndexIsStale: an index file whose payload records a depth
+// cap (written by builds that could stop at a level) holds a tree that
+// cannot answer past the cap, so it loads as stale (ok=false, nil error)
+// and the caller rebuilds rather than serving it.
+func TestTruncatedIndexIsStale(t *testing.T) {
+	tree, err := hierarchy.Build(difftest.Corpus()[0].G, hierarchy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), indexName)
+	if err := writeIndex(path, tree, 42, 1); err != nil {
+		t.Fatal(err)
+	}
+	setIndexBuiltMaxK(t, path, 3)
+	if got, _, ok, err := readIndex(path, 42, cohesion.KVCC); err != nil || ok || got != nil {
+		t.Fatalf("BuiltMaxK=3 index: tree=%v ok=%v err=%v, want stale", got != nil, ok, err)
+	}
+	setIndexBuiltMaxK(t, path, 0)
+	if _, _, ok, err := readIndex(path, 42, cohesion.KVCC); err != nil || !ok {
+		t.Fatalf("BuiltMaxK=0 index: ok=%v err=%v, want loaded", ok, err)
+	}
+}
+
+// setIndexBuiltMaxK rewrites the index file at path with its payload's
+// BuiltMaxK set to maxK and both checksums refreshed, so the file is
+// intact and differs from a fresh one only in the recorded depth cap.
+func setIndexBuiltMaxK(t *testing.T, path string, maxK int) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p indexPayload
+	if err := gob.NewDecoder(bytes.NewReader(raw[indexHeader:])).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	p.BuiltMaxK = maxK
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(&p); err != nil {
+		t.Fatal(err)
+	}
+	header := raw[:indexHeader]
+	binary.LittleEndian.PutUint64(header[24:32], crc64.Checksum(body.Bytes(), crcTable))
+	binary.LittleEndian.PutUint64(header[32:40], crc64.Checksum(header[0:32], crcTable))
+	if err := os.WriteFile(path, append(header, body.Bytes()...), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
