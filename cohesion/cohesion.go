@@ -55,9 +55,6 @@ func (m Measure) String() string {
 	}
 }
 
-// Valid reports whether m is one of the three defined measures.
-func (m Measure) Valid() bool { return m <= KCore }
-
 // ParseMeasure maps a wire name to a Measure. The empty string parses as
 // KVCC so requests that omit the field keep their old meaning.
 func ParseMeasure(name string) (Measure, error) {

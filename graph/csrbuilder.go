@@ -19,11 +19,17 @@ type CSRBuilder struct {
 	labels  []int64
 	fill    csrFill
 	placing bool
+
+	// firstLabel and firstID cache the last edge's first endpoint, so a
+	// run of lines that share it (as WriteEdgeList writes them) looks it
+	// up in index once per pass. firstID is -1 while nothing is cached.
+	firstLabel int64
+	firstID    int
 }
 
 // NewCSRBuilder returns an empty CSRBuilder in its counting pass.
 func NewCSRBuilder() *CSRBuilder {
-	return &CSRBuilder{index: make(map[int64]int, 1024), fill: csrFill{offsets: []int{0}}}
+	return &CSRBuilder{index: make(map[int64]int, 1024), fill: csrFill{offsets: []int{0}}, firstID: -1}
 }
 
 func (b *CSRBuilder) intern(l int64) int {
@@ -60,8 +66,10 @@ func (b *CSRBuilder) CountEdge(lu, lv int64) {
 	if lu == lv {
 		return
 	}
-	u := b.intern(lu)
-	b.fill.count(u, b.intern(lv))
+	if b.firstID < 0 || lu != b.firstLabel {
+		b.firstLabel, b.firstID = lu, b.intern(lu)
+	}
+	b.fill.count(b.firstID, b.intern(lv))
 }
 
 // NumVertices returns the number of vertices interned so far.
@@ -88,15 +96,18 @@ func (b *CSRBuilder) PlaceEdge(lu, lv int64) error {
 	if lu == lv {
 		return nil
 	}
-	u, ok := b.index[lu]
-	if !ok {
-		return fmt.Errorf("graph: placement pass saw uncounted vertex %d", lu)
+	if b.firstID < 0 || lu != b.firstLabel {
+		u, ok := b.index[lu]
+		if !ok {
+			return fmt.Errorf("graph: placement pass saw uncounted vertex %d", lu)
+		}
+		b.firstLabel, b.firstID = lu, u
 	}
 	v, ok := b.index[lv]
 	if !ok {
 		return fmt.Errorf("graph: placement pass saw uncounted vertex %d", lv)
 	}
-	if !b.fill.place(u, v) {
+	if !b.fill.place(b.firstID, v) {
 		return fmt.Errorf("graph: placement pass overflows the counted run of vertex %d or %d (stream changed between passes?)", lu, lv)
 	}
 	return nil

@@ -86,10 +86,6 @@ func NewDeltaAt(base *Graph, version uint64) *Delta {
 	return d
 }
 
-// Base returns the graph the overlay currently rebases onto. Compact
-// replaces it with the materialized snapshot.
-func (d *Delta) Base() *Graph { return d.base }
-
 // Version returns the overlay's version stamp. It starts at 1 and
 // increases by one for every effective mutation (an insert, delete or
 // vertex addition that changed the graph); no-op edits do not bump it.

@@ -209,9 +209,6 @@ func TestDeltaCompactIdentityWhenClean(t *testing.T) {
 	if g2 := d.Compact(); g2 != g1 {
 		t.Fatal("compact without an intervening mutation must be cached")
 	}
-	if d.Base() != g1 {
-		t.Fatal("compact must rebase the overlay")
-	}
 	if ins, del := d.Pending(); ins != 0 || del != 0 {
 		t.Fatalf("compact must drain pending edits, got %d/%d", ins, del)
 	}

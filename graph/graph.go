@@ -114,14 +114,6 @@ func (g *Graph) MinDegreeVertex() (v, degree int) {
 	return v, degree
 }
 
-// AverageDegree returns 2m/n, or 0 for an empty graph.
-func (g *Graph) AverageDegree() float64 {
-	if len(g.labels) == 0 {
-		return 0
-	}
-	return 2 * float64(g.m) / float64(len(g.labels))
-}
-
 // Edges appends every undirected edge (u,v) with u < v to dst and returns it.
 func (g *Graph) Edges(dst [][2]int) [][2]int {
 	if dst == nil {

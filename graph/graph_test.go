@@ -115,9 +115,6 @@ func TestDegreesAndStats(t *testing.T) {
 	if v, d := g.MinDegreeVertex(); v != 3 || d != 1 {
 		t.Fatalf("MinDegreeVertex = (%d,%d)", v, d)
 	}
-	if got := g.AverageDegree(); got != 2.0 {
-		t.Fatalf("AverageDegree = %v", got)
-	}
 }
 
 func TestHasEdgeSymmetric(t *testing.T) {

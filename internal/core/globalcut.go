@@ -290,7 +290,11 @@ func (cf *cutFinder) orderByDistance(dist []int, u int) []int {
 const ssvSourceScanLimit = 64
 
 // sweep marks v as swept (u ≡k v is established) and propagates the
-// neighbor-sweep and group-sweep rules iteratively (Algorithm 4).
+// neighbor-sweep and group-sweep rules iteratively (Algorithm 4). A swept
+// vertex's strong side-vertex status is resolved only when a rule reads
+// it: neighbor sweep rule 1 at the first neighbor not yet swept (with
+// none, rule 1 has nothing to mark), and group sweep rule 1 only when the
+// group deposit has not already fired rule 2.
 func (cf *cutFinder) sweep(v int, cause uint8) {
 	if cf.pru[v] {
 		return
@@ -303,10 +307,13 @@ func (cf *cutFinder) sweep(v int, cause uint8) {
 		cf.stack = cf.stack[:len(cf.stack)-1]
 
 		if cf.useNS {
-			xIsSSV := cf.isSSV(x)
+			resolved, xIsSSV := false, false
 			for _, w := range cf.g.Neighbors(x) {
 				if cf.pru[w] {
 					continue
+				}
+				if !resolved { // first unpruned neighbor: rule 1 reads it
+					resolved, xIsSSV = true, cf.isSSV(x)
 				}
 				cf.deposit[w]++
 				switch {
@@ -321,9 +328,11 @@ func (cf *cutFinder) sweep(v int, cause uint8) {
 			gid := cf.groupID[x]
 			if gid >= 0 && !cf.gProcessed[gid] {
 				cf.gDeposit[gid]++
-				// Group sweep rule 1 (strong side-vertex member) or
-				// rule 2 (group deposit reached k, Theorem 11).
-				if cf.isSSV(x) || cf.gDeposit[gid] >= cf.k {
+				// Group sweep rule 2 (group deposit reached k, Theorem
+				// 11) or rule 1 (strong side-vertex member); the
+				// deposit goes first so a firing rule 2 never resolves
+				// x's status.
+				if cf.gDeposit[gid] >= cf.k || cf.isSSV(x) {
 					cf.gProcessed[gid] = true
 					for _, w := range cf.groups[gid] {
 						if !cf.pru[w] {

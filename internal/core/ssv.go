@@ -9,12 +9,16 @@ import "kvcc/graph"
 // belong to any qualified vertex cut, which powers neighbor sweep rule 1,
 // group sweep rule 1, source selection, and the phase-2 skip.
 //
-// Resolution is lazy and memoized: GLOBAL-CUT* on a component that is not
-// k-connected typically finds a cut after testing one or two far vertices,
-// so only the handful of SSV statuses actually queried by the sweeps are
-// ever computed. Terminal (k-connected) components resolve more statuses,
-// but they are exactly the components where the answers pay for themselves
-// by sweeping phase 1 and skipping phase 2.
+// Resolution is lazy and memoized: a status is resolved only when a rule
+// is about to read it. The source scan asks a bounded prefix of vertices,
+// the phase-2 skip asks the source, and sweep asks a swept vertex only at
+// its first neighbor not yet swept (neighbor sweep rule 1) or when its
+// side-group's deposit is still below k (group sweep rule 1). GLOBAL-CUT*
+// on a component that is not k-connected typically finds a cut after
+// testing one or two far vertices, so few statuses are ever computed.
+// Terminal (k-connected) components resolve more, but they are exactly the
+// components where the answers pay for themselves by sweeping phase 1 and
+// skipping phase 2.
 
 const (
 	ssvUnknown int8 = iota
@@ -25,8 +29,10 @@ const (
 // ssvHint carries resolved SSV knowledge from a parent component to the
 // subgraphs created by partitioning it:
 //
-//   - Lemma 15: a non-SSV of the parent cannot be an SSV of any child, so
-//     a resolved "no" propagates as "no".
+//   - Lemma 15: a resolved "no" propagates as "no". The answer is
+//     conservative, not exact: a vertex whose failing neighbor pair lost
+//     a member to the partition can be an SSV of the child, and treating
+//     it as a non-SSV only forgoes pruning.
 //   - Lemma 16 (strengthened to survive the k-core reduction between
 //     partitions): a parent SSV whose own degree and all of whose
 //     neighbors' degrees are unchanged in the child has an identical
@@ -58,24 +64,42 @@ func (cf *cutFinder) isSSV(v int) bool {
 	return res
 }
 
+// testHookHinted, when set, is called with every status resolveSSV takes
+// from the parent's hint instead of testing it.
+var testHookHinted func(cf *cutFinder, v int, ssv bool)
+
 func (cf *cutFinder) resolveSSV(v int) bool {
-	if h := cf.hint; h != nil {
-		lab := cf.g.Label(v)
-		if known, resolved := h.ssv[lab]; resolved {
-			if !known {
-				return false // Lemma 15
-			}
-			if h.preserved(cf.g, v) {
-				cf.stats.SSVInherited++
-				return true // Lemma 16
-			}
+	if ssv, ok := cf.hinted(v); ok {
+		if testHookHinted != nil {
+			testHookHinted(cf, v, ssv)
 		}
+		return ssv
 	}
 	if cf.checkSSV(v) {
 		cf.stats.SSVDetected++
 		return true
 	}
 	return false
+}
+
+// hinted resolves v's status from the parent's hint; ok is false when the
+// hint does not decide it.
+func (cf *cutFinder) hinted(v int) (ssv, ok bool) {
+	h := cf.hint
+	if h == nil {
+		return false, false
+	}
+	known, resolved := h.ssv[cf.g.Label(v)]
+	switch {
+	case !resolved:
+		return false, false
+	case !known:
+		return false, true // Lemma 15
+	case h.preserved(cf.g, v):
+		cf.stats.SSVInherited++
+		return true, true // Lemma 16
+	}
+	return false, false
 }
 
 // buildHint snapshots the resolved part of the memo for the child tasks.

@@ -143,9 +143,6 @@ func NewNetwork(g *graph.Graph, bound int) *Network {
 	return NewNetworkScratch(g, bound, &Scratch{})
 }
 
-// Bound returns the early-termination bound the network was built with.
-func (nw *Network) Bound() int { return nw.bound }
-
 // nextGen advances a packed-scratch generation counter, invalidating every
 // entry of the array it guards in O(1). On the (astronomically rare)
 // wraparound the full array — including capacity hidden by earlier
@@ -197,7 +194,8 @@ func (nw *Network) MinVertexCut(u, v int) (cut []int, connectivity int, atLeastB
 // limit that may be tighter than the network's bound: augmentation stops
 // as soon as `limit` units flow, so a caller that already holds a cut of
 // size c can probe further pairs with limit = c and pay nothing for flow
-// beyond a known-worse answer. limit must be in [1, Bound()].
+// beyond a known-worse answer. limit must be in [1, bound], where bound
+// is the early-termination bound the network was built with.
 func (nw *Network) MinVertexCutLimit(u, v, limit int) (cut []int, connectivity int, atLeastLimit bool) {
 	if limit < 1 || limit > nw.bound {
 		panic("flow: limit must be in [1, bound]")
