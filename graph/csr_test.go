@@ -67,7 +67,7 @@ func TestCSRInvariantsAcrossConstructors(t *testing.T) {
 
 	vs := rng.Perm(n)[:n/2]
 	checkCSRInvariants(t, g.InducedSubgraph(vs))
-	checkCSRInvariants(t, g.SpanningSubgraph(edges[:100]))
+	checkCSRInvariants(t, g.SpanningSubgraphScratch(edges[:100], &FillScratch{}))
 	checkCSRInvariants(t, g.RemoveEdges(edges[:50]))
 	checkCSRInvariants(t, g.Clone())
 }

@@ -22,7 +22,7 @@
 //
 // Construct graphs with FromEdges (contiguous vertices), FromLabeledEdges
 // or a two-pass CSRBuilder (labels numbered in first-mention order), or
-// the subgraph operations InducedSubgraph and SpanningSubgraph; parse
+// the subgraph operations InducedSubgraph and SpanningSubgraphScratch; parse
 // them from edge lists with the graphio package. A Graph is immutable once built; to
 // mutate one over time, wrap it in a Delta — a versioned overlay of edge
 // insertions, deletions and new vertices whose Compact method materializes

@@ -168,15 +168,39 @@ func FromEdges(n int, edges [][2]int) *Graph {
 	for v := range labels {
 		labels[v] = int64(v)
 	}
-	offsets, flat, m := fillPairs(n, edges)
+	offsets, flat, m := fillPairs(n, edges, nil)
 	return &Graph{offsets: offsets, edges: flat, labels: labels, m: m}
+}
+
+// FillScratch carries the CSR fill's arrays across SpanningSubgraphScratch
+// calls. The zero value is ready to use; a FillScratch is not safe for
+// concurrent use.
+type FillScratch struct {
+	offsets, mid, cursors, edges []int
+}
+
+// reuse returns (*buf)[:n], reallocating *buf when it is too short.
+// Reused entries keep their old values.
+func reuse(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	return (*buf)[:n]
 }
 
 // fillPairs runs the CSR fill over vertex-id pairs in [0,n), dropping
 // self-loops. It serves the constructors that hold their whole edge list
-// (FromEdges, SpanningSubgraph).
-func fillPairs(n int, pairs [][2]int) (offsets, edges []int, m int) {
-	f := csrFill{offsets: make([]int, n+1), mid: make([]int, n)}
+// (FromEdges, SpanningSubgraphScratch). With a non-nil s the fill works in s's
+// arrays, and the returned offsets and edges are backed by them.
+func fillPairs(n int, pairs [][2]int, s *FillScratch) (offsets, edges []int, m int) {
+	f := csrFill{scratch: s}
+	if s == nil {
+		f.offsets, f.mid = make([]int, n+1), make([]int, n)
+	} else {
+		f.offsets, f.mid = reuse(&s.offsets, n+1), reuse(&s.mid, n)
+		clear(f.offsets)
+		clear(f.mid)
+	}
 	for _, e := range pairs {
 		if e[0] != e[1] {
 			f.count(e[0], e[1])
@@ -211,6 +235,8 @@ type csrFill struct {
 	edges   []int
 
 	counted, placed int // pairs accepted by each pass
+
+	scratch *FillScratch // if set, begin takes edges and cursors from it
 }
 
 func (f *csrFill) count(u, v int) {
@@ -220,15 +246,19 @@ func (f *csrFill) count(u, v int) {
 	f.counted++
 }
 
-// begin turns the counts into run bounds and allocates the edge array.
+// begin turns the counts into run bounds and sizes the edge array.
 func (f *csrFill) begin() {
 	n := len(f.mid)
 	for v := 0; v < n; v++ {
 		f.offsets[v+1] += f.offsets[v]
 		f.mid[v] += f.offsets[v]
 	}
-	f.edges = make([]int, f.offsets[n])
-	cursors := make([]int, 2*n)
+	var cursors []int
+	if s := f.scratch; s != nil {
+		f.edges, cursors = reuse(&s.edges, f.offsets[n]), reuse(&s.cursors, 2*n)
+	} else {
+		f.edges, cursors = make([]int, f.offsets[n]), make([]int, 2*n)
+	}
 	f.hi, f.lo = cursors[:n], cursors[n:]
 	copy(f.hi, f.mid)
 	copy(f.lo, f.offsets[:n])

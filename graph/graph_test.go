@@ -178,7 +178,7 @@ func TestInducedSubgraphDuplicatePanics(t *testing.T) {
 
 func TestSpanningSubgraph(t *testing.T) {
 	g := complete(4)
-	sp := g.SpanningSubgraph([][2]int{{0, 1}, {1, 2}, {2, 2}, {0, 1}})
+	sp := g.SpanningSubgraphScratch([][2]int{{0, 1}, {1, 2}, {2, 2}, {0, 1}}, &FillScratch{})
 	if sp.NumVertices() != 4 {
 		t.Fatalf("n = %d", sp.NumVertices())
 	}
@@ -187,6 +187,32 @@ func TestSpanningSubgraph(t *testing.T) {
 	}
 	if sp.Label(3) != g.Label(3) {
 		t.Fatal("labels not preserved")
+	}
+}
+
+// One FillScratch reused over graphs that grow and shrink must build the
+// same adjacency as FromEdges on the same pairs: stale counts and edges
+// left in its arrays by a larger graph must not leak into a smaller one.
+func TestSpanningSubgraphScratchMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var s FillScratch
+	for _, n := range []int{30, 5, 60, 1, 12, 40} {
+		g := randomGraph(n, 0.3, rng)
+		var pairs [][2]int
+		for _, e := range g.Edges(nil) {
+			if rng.Float64() < 0.6 {
+				pairs = append(pairs, e, [2]int{e[1], e[0]}) // duplicates in both orientations
+			}
+		}
+		if n > 1 {
+			pairs = append(pairs, [2]int{n - 1, n - 1}) // a self-loop to drop
+		}
+		want := FromEdges(n, pairs) // randomGraph's labels are its ids
+		got := g.SpanningSubgraphScratch(pairs, &s)
+		if !reflect.DeepEqual(got.offsets, want.offsets) || !reflect.DeepEqual(got.edges, want.edges) ||
+			got.m != want.m || !reflect.DeepEqual(got.labels, want.labels) {
+			t.Fatalf("n=%d: scratch-built spanning subgraph differs from FromEdges", n)
+		}
 	}
 }
 

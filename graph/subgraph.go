@@ -66,13 +66,15 @@ func (g *Graph) inducedSubgraphMap(vs []int) *Graph {
 	return sg
 }
 
-// SpanningSubgraph returns a graph on the same vertex set (same ids, same
-// labels) containing exactly the given edges. Edges must reference valid
-// vertices; duplicates and self-loops are dropped.
-func (g *Graph) SpanningSubgraph(edges [][2]int) *Graph {
-	offsets, flat, m := fillPairs(g.NumVertices(), edges)
-	labels := append([]int64(nil), g.labels...)
-	return &Graph{offsets: offsets, edges: flat, labels: labels, m: m}
+// SpanningSubgraphScratch returns a graph on the same vertex set (same
+// ids, sharing g's label table) containing exactly the given edges. Edges
+// must reference valid vertices; duplicates and self-loops are dropped.
+// The adjacency is built in s's arrays, so a hot loop that keeps one
+// spanning subgraph at a time allocates nothing once s has grown; the
+// result is valid only until the next call with the same s.
+func (g *Graph) SpanningSubgraphScratch(edges [][2]int, s *FillScratch) *Graph {
+	offsets, flat, m := fillPairs(g.NumVertices(), edges, s)
+	return &Graph{offsets: offsets, edges: flat, labels: g.labels, m: m}
 }
 
 // RemoveEdges returns a graph on the same vertex set with the given edges

@@ -54,6 +54,17 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// vertexHash and edgeHash are the summands of a ComponentKey's hashes:
+// one per vertex label, one per edge by its label pair in either order.
+func vertexHash(l int64) uint64 { return mix64(uint64(l) + 0x9e3779b97f4a7c15) }
+
+func edgeHash(a, b int64) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return mix64(mix64(uint64(a)) + 0x9e3779b97f4a7c15*uint64(b))
+}
+
 // keyOf computes the structural fingerprint of a component subgraph.
 // Hashes accumulate by summation, so the key is independent of vertex
 // numbering and edge iteration order.
@@ -61,17 +72,13 @@ func keyOf(g *graph.Graph) ComponentKey {
 	labels := g.Labels()
 	var vh, eh uint64
 	for _, l := range labels {
-		vh += mix64(uint64(l) + 0x9e3779b97f4a7c15)
+		vh += vertexHash(l)
 	}
 	offsets, edges := g.Adjacency()
 	for u := 0; u < len(labels); u++ {
 		for _, w := range edges[offsets[u]:offsets[u+1]] {
 			if u < w {
-				a, b := labels[u], labels[w]
-				if a > b {
-					a, b = b, a
-				}
-				eh += mix64(mix64(uint64(a)) + 0x9e3779b97f4a7c15*uint64(b))
+				eh += edgeHash(labels[u], labels[w])
 			}
 		}
 	}
@@ -140,29 +147,122 @@ func (s *Store) Flatten() []*graph.Graph {
 // dropped (after k-core reduction they cannot occur for k >= 1; the
 // filter is a guard).
 func Partition(g *graph.Graph, k int) (comps []*graph.Graph, keys []ComponentKey, peeled int) {
-	cored, peeled := kcore.Reduce(g, k)
-	if cored.NumVertices() == 0 {
-		return nil, nil, peeled
-	}
-	ccs := cored.ConnectedComponents()
-	for _, cc := range ccs {
-		if len(cc) <= k {
-			continue
-		}
-		var sub *graph.Graph
-		if len(ccs) == 1 && cored.NumVertices() == len(cc) {
-			// Copy the surviving whole graph off a mapped snapshot: the
-			// extracted components below are heap copies already, and the
-			// enumeration engine's flow probes must not random-access the
-			// mapping. Identity for heap graphs.
-			sub = cored.Materialize()
-		} else {
-			sub = cored.InducedSubgraph(cc)
-		}
-		comps = append(comps, sub)
-		keys = append(keys, keyOf(sub))
+	members, keys, peeled := split(g, k)
+	for _, vs := range members {
+		comps = append(comps, extract(g, vs))
 	}
 	return comps, keys, peeled
+}
+
+// split is Partition without the subgraphs: each component comes back as
+// its ascending vertex ids in g, and its fingerprint is hashed straight
+// from g. The reduced graph is never built, so a caller that reuses most
+// components (Run after a local edit) extracts only the ones it
+// recomputes. Every pass — the peel, the union-find labelling and the
+// hashing — walks g's adjacency forward, as Partition's reduction did.
+func split(g *graph.Graph, k int) (members [][]int, keys []ComponentKey, peeled int) {
+	removed, peeled := kcore.Peel(g, k)
+	n := g.NumVertices()
+	if peeled == n {
+		return nil, nil, peeled
+	}
+
+	// Union-find over the surviving edges. Unions link the larger root
+	// under the smaller, so every parent is a smaller id of the same
+	// component and each root is its component's smallest member.
+	parent := make([]int32, n)
+	for v := range parent {
+		parent[v] = int32(v)
+	}
+	find := func(v int32) int32 {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
+		}
+		return v
+	}
+	for v := 0; v < n; v++ {
+		if removed[v] {
+			continue
+		}
+		for _, w := range g.Neighbors(v) {
+			if w > v && !removed[w] {
+				if a, b := find(int32(v)), find(int32(w)); a != b {
+					parent[max(a, b)] = min(a, b)
+				}
+			}
+		}
+	}
+	// Number the components by ascending smallest member, the order
+	// ConnectedComponents gives. An ascending scan meets a root before the
+	// rest of its component and any vertex after its parent, so each
+	// vertex's entry is overwritten with -(id+1) and read back through
+	// its parent's.
+	comp := parent
+	var sizes []int
+	for v := 0; v < n; v++ {
+		if removed[v] {
+			continue
+		}
+		var id int
+		if p := parent[v]; p == int32(v) {
+			id = len(sizes)
+			sizes = append(sizes, 0)
+		} else {
+			id = int(-comp[p] - 1)
+		}
+		sizes[id]++
+		comp[v] = int32(-id - 1)
+	}
+
+	// Members in one flat array, and the fingerprints keyOf would give
+	// each extracted component, in one forward pass.
+	flat := make([]int, n-peeled)
+	members = make([][]int, len(sizes))
+	at := 0
+	for c, sz := range sizes {
+		members[c] = flat[at : at : at+sz]
+		at += sz
+	}
+	keys = make([]ComponentKey, len(sizes))
+	labels := g.Labels()
+	for v := 0; v < n; v++ {
+		if removed[v] {
+			continue
+		}
+		c := -comp[v] - 1
+		members[c] = append(members[c], v)
+		key := &keys[c]
+		key.N++
+		key.VertexHash += vertexHash(labels[v])
+		for _, w := range g.Neighbors(v) {
+			if w > v && !removed[w] {
+				key.EdgeHash += edgeHash(labels[v], labels[w])
+				key.M++
+			}
+		}
+	}
+
+	// The Definition 2 guard: drop components of at most k vertices.
+	kept := 0
+	for c := range members {
+		if len(members[c]) > k {
+			members[kept], keys[kept] = members[c], keys[c]
+			kept++
+		}
+	}
+	return members[:kept], keys[:kept], peeled
+}
+
+// extract builds the subgraph of g on the ascending ids vs, as a heap
+// graph. A component spanning all of g is g itself, copied off a mapped
+// snapshot: the other components are heap copies already, and the
+// enumeration engine's flow probes must not random-access the mapping.
+func extract(g *graph.Graph, vs []int) *graph.Graph {
+	if len(vs) == g.NumVertices() {
+		return g.Materialize()
+	}
+	return g.InducedSubgraph(vs)
 }
 
 // Run enumerates the k-VCCs of g component by component, reusing from
@@ -182,20 +282,21 @@ func Run(ctx context.Context, g *graph.Graph, k int, opts core.Options, prev *St
 	if prev != nil && prev.K != k {
 		prev = nil
 	}
-	comps, keys, peeled := Partition(g, k)
+	members, keys, peeled := split(g, k)
 	stats := &core.Stats{KCorePeeled: int64(peeled)}
 
-	// Split the partition into reusable and to-recompute components.
-	slots := make([]*ComponentResult, len(comps))
+	// Split the partition into reusable and to-recompute components; only
+	// the latter are extracted.
+	slots := make([]*ComponentResult, len(members))
 	var batch []*graph.Graph
 	var batchIdx []int
-	for i := range comps {
+	for i := range members {
 		if cr, ok := prev.lookup(keys[i]); ok {
 			stats.ComponentsReused++
 			slots[i] = cr
 			continue
 		}
-		batch = append(batch, comps[i])
+		batch = append(batch, extract(g, members[i]))
 		batchIdx = append(batchIdx, i)
 	}
 
@@ -216,8 +317,8 @@ func Run(ctx context.Context, g *graph.Graph, k int, opts core.Options, prev *St
 		// k-VCC to its component; the flat result is in canonical order,
 		// so per-component orders stay canonical after bucketing.
 		byLabel := make(map[int64]int, len(batch))
-		for _, i := range batchIdx {
-			for _, l := range comps[i].Labels() {
+		for j, i := range batchIdx {
+			for _, l := range batch[j].Labels() {
 				byLabel[l] = i
 			}
 		}
@@ -226,7 +327,7 @@ func Run(ctx context.Context, g *graph.Graph, k int, opts core.Options, prev *St
 			slots[i].VCCs = append(slots[i].VCCs, c)
 		}
 	}
-	store := newStore(k, len(comps))
+	store := newStore(k, len(members))
 	for _, cr := range slots {
 		store.add(cr)
 	}

@@ -83,7 +83,32 @@ func Reduce(g *graph.Graph, k int) (*graph.Graph, int) {
 }
 
 // ReduceScratch is Reduce reusing the given subgraph-extraction scratch
-// (nil is allowed), for callers that peel in a hot loop.
+// (nil is allowed), for callers that peel in a hot loop. The peel itself
+// is Peel's.
+func ReduceScratch(g *graph.Graph, k int, s *graph.Scratch) (*graph.Graph, int) {
+	if k <= 0 {
+		return g, 0
+	}
+	removed, peeled := Peel(g, k)
+	if peeled == 0 {
+		return g, 0
+	}
+	n := g.NumVertices()
+	kept := make([]int, 0, n-peeled)
+	for v := 0; v < n; v++ {
+		if !removed[v] {
+			kept = append(kept, v)
+		}
+	}
+	if s == nil {
+		return g.InducedSubgraph(kept), peeled
+	}
+	return g.InducedSubgraphScratch(kept, s), peeled
+}
+
+// Peel marks the vertices of g outside its k-core (core number < k) and
+// returns the mask with their count, without building the reduced graph.
+// For k <= 0 nothing is peeled.
 //
 // Peeling proceeds in waves, each wave processed in ascending vertex id:
 // the k-core is unique whatever the removal order (peeling is confluent),
@@ -92,22 +117,27 @@ func Reduce(g *graph.Graph, k int) (*graph.Graph, int) {
 // from a cold mmap'd snapshot this turns the first reduction — the one
 // pass that must touch the whole graph — into a sequential scan instead
 // of a page-cache-thrashing recursion.
-func ReduceScratch(g *graph.Graph, k int, s *graph.Scratch) (*graph.Graph, int) {
-	if k <= 0 {
-		return g, 0
-	}
+func Peel(g *graph.Graph, k int) (removed []bool, peeled int) {
 	n := g.NumVertices()
+	removed = make([]bool, n)
+	if k <= 0 {
+		return removed, 0
+	}
 	deg := make([]int, n)
-	removed := make([]bool, n)
-	var wave, next []int
 	for v := 0; v < n; v++ {
 		deg[v] = g.Degree(v) // offsets-only read: sequential, cheap
+		if deg[v] < k {
+			peeled++
+		}
+	}
+	// The first wave is sized exactly; later waves reuse its array.
+	wave, next := make([]int, 0, peeled), []int(nil)
+	for v := 0; v < n; v++ {
 		if deg[v] < k {
 			removed[v] = true
 			wave = append(wave, v) // ascending by construction
 		}
 	}
-	peeled := len(wave)
 	for len(wave) > 0 {
 		next = next[:0]
 		for _, v := range wave {
@@ -128,19 +158,7 @@ func ReduceScratch(g *graph.Graph, k int, s *graph.Scratch) (*graph.Graph, int) 
 		sort.Ints(next)
 		wave, next = next, wave
 	}
-	if peeled == 0 {
-		return g, 0
-	}
-	kept := make([]int, 0, n-peeled)
-	for v := 0; v < n; v++ {
-		if !removed[v] {
-			kept = append(kept, v)
-		}
-	}
-	if s == nil {
-		return g.InducedSubgraph(kept), peeled
-	}
-	return g.InducedSubgraphScratch(kept, s), peeled
+	return removed, peeled
 }
 
 // Components returns the connected components of the k-core of g, each as

@@ -47,21 +47,17 @@ func TestComputeScratchMatchesCompute(t *testing.T) {
 	}
 }
 
-// With a warmed-up Scratch, the only remaining allocations are the
-// certificate graph itself (and its wrapper struct) — the bucket queue,
-// certificate edge list, union-find, and group member storage must all be
-// reused.
+// With a warmed-up Scratch, the only remaining allocations are the SC
+// graph struct and the Certificate struct — the bucket queue, certificate
+// edge list, SC's CSR arrays, union-find, and group member storage must
+// all be reused.
 func TestComputeScratchSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomConnectedGraph(200, 0.08, rng)
 	var s Scratch
 	ComputeScratch(g, 4, &s) // warm
 	allocs := testing.AllocsPerRun(50, func() { ComputeScratch(g, 4, &s) })
-	// SpanningSubgraph builds the SC graph (struct, offsets, edges,
-	// labels, plus buildCSR internals) and the Certificate struct is
-	// returned by pointer; allow a small constant budget for exactly
-	// that. The point is the bound does not scale with n, m, or k.
-	if allocs > 10 {
-		t.Fatalf("warm ComputeScratch allocates %.1f times per run, want <= 10", allocs)
+	if allocs > 2 {
+		t.Fatalf("warm ComputeScratch allocates %.1f times per run, want <= 2", allocs)
 	}
 }

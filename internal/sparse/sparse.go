@@ -54,21 +54,22 @@ type Certificate struct {
 
 // Scratch carries the construction buffers of ComputeScratch across
 // calls: the labels and bucket lists of the forest decomposition, the
-// certificate edges with their forest indices, and the union-find plus
-// flat member storage behind the side groups. The enumeration recursion
-// computes one certificate per component at every level, so reusing one
-// Scratch per worker removes every per-call allocation except the
-// certificate graph itself. The zero value is ready to use; a Scratch is
-// not safe for concurrent use.
+// certificate edges with their forest indices, the certificate graph's
+// CSR arrays, and the union-find plus flat member storage behind the side
+// groups. The enumeration recursion computes one certificate per
+// component at every level, so reusing one Scratch per worker removes
+// every per-call allocation except two small structs. The zero value is
+// ready to use; a Scratch is not safe for concurrent use.
 type Scratch struct {
 	nodes     []bucketNode
 	heads     []int32
 	certEdges [][2]int
 	forest    []int32
 
-	// sideGroups state. groupID, members and groups back the returned
-	// Certificate, which therefore stays valid only until the next
-	// ComputeScratch call with this Scratch.
+	// fill, groupID, members and groups back the returned Certificate,
+	// which therefore stays valid only until the next ComputeScratch call
+	// with this Scratch.
+	fill    graph.FillScratch
 	parent  []int
 	count   []int
 	groupID []int
@@ -103,12 +104,12 @@ func Compute(g *graph.Graph, k int) *Certificate {
 // forests F_1..F_k, each a scan-first forest of G - F_1 - ... - F_{i-1};
 // the certificate is their union and the side groups come from F_k. The
 // pass meets each edge once, from whichever endpoint is scanned first, so
-// the cost is O(n+m) whatever k is, and with a warmed-up Scratch the only
-// allocations are the certificate graph itself.
+// the cost is O(n+m) whatever k is, and with a warmed-up Scratch nothing
+// but the Certificate and SC structs is allocated.
 //
-// The returned Certificate's SideGroups and GroupID are backed by s and
-// are valid only until the next ComputeScratch call with the same s; the
-// SC graph is independently allocated and unrestricted.
+// The returned Certificate is backed by s: SC's adjacency arrays,
+// SideGroups and GroupID are valid only until the next ComputeScratch
+// call with the same s. SC shares g's label table.
 func ComputeScratch(g *graph.Graph, k int, s *Scratch) *Certificate {
 	if k < 1 {
 		panic("sparse: k must be >= 1")
@@ -117,7 +118,7 @@ func ComputeScratch(g *graph.Graph, k int, s *Scratch) *Certificate {
 		s = &Scratch{}
 	}
 	decompose(g, k, s)
-	sc := g.SpanningSubgraph(s.certEdges)
+	sc := g.SpanningSubgraphScratch(s.certEdges, &s.fill)
 	groups, groupID := sideGroups(g.NumVertices(), k, s)
 	return &Certificate{SC: sc, SideGroups: groups, GroupID: groupID}
 }

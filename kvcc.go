@@ -1,7 +1,9 @@
 package kvcc
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -98,24 +100,38 @@ type Result struct {
 	// sync.Once rather than recomputed (or worse, linearly scanned) per
 	// request.
 	indexOnce sync.Once
-	byLabel   map[int64][]int
+	byLabel   []membership
+}
+
+// membership records that component comp contains the vertex label.
+type membership struct {
+	label int64
+	comp  int
 }
 
 // labelIndex returns the inverted index from vertex label to the indices
-// of the components containing it, building it on first use. Safe for
-// concurrent callers.
-func (r *Result) labelIndex() map[int64][]int {
+// of the components containing it, building it on first use: every
+// membership once, sorted by label and then component, so one label's
+// components form an ascending run. Safe for concurrent callers.
+func (r *Result) labelIndex() []membership {
 	r.indexOnce.Do(func() {
-		idx := make(map[int64][]int)
+		total := 0
+		for _, c := range r.Components {
+			total += c.NumVertices()
+		}
+		idx := make([]membership, 0, total)
 		for i, c := range r.Components {
 			for _, l := range c.Labels() {
-				if list := idx[l]; len(list) > 0 && list[len(list)-1] == i {
-					continue // defensive: a component lists each label once
-				}
-				idx[l] = append(idx[l], i)
+				idx = append(idx, membership{l, i})
 			}
 		}
-		r.byLabel = idx
+		slices.SortFunc(idx, func(a, b membership) int {
+			if c := cmp.Compare(a.label, b.label); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.comp, b.comp)
+		})
+		r.byLabel = slices.Compact(idx) // defensive: a component lists each label once
 	})
 	return r.byLabel
 }
@@ -223,11 +239,13 @@ func BuildMeasureHierarchyContext(ctx context.Context, g *graph.Graph, m Measure
 // (Property 1). Lookups hit the lazily built inverted index, so the
 // serving path costs O(answer), not O(components · vertices).
 func (r *Result) ComponentsContaining(label int64) []int {
-	list := r.labelIndex()[label]
-	if len(list) == 0 {
-		return nil
+	idx := r.labelIndex()
+	i, _ := slices.BinarySearchFunc(idx, label, func(m membership, l int64) int { return cmp.Compare(m.label, l) })
+	var out []int
+	for ; i < len(idx) && idx[i].label == label; i++ {
+		out = append(out, idx[i].comp)
 	}
-	return append([]int(nil), list...)
+	return out
 }
 
 // OverlapMatrix returns the pairwise overlap sizes between components.
@@ -241,14 +259,21 @@ func (r *Result) OverlapMatrix() [][]int {
 	for i := range m {
 		m[i] = make([]int, n)
 	}
-	for _, comps := range r.labelIndex() {
-		for x, a := range comps {
-			m[a][a]++
-			for _, b := range comps[x+1:] {
-				m[a][b]++
-				m[b][a]++
+	idx := r.labelIndex()
+	for i := 0; i < len(idx); {
+		j := i + 1 // idx[i:j] is one label's run of components
+		for j < len(idx) && idx[j].label == idx[i].label {
+			j++
+		}
+		run := idx[i:j]
+		for x, a := range run {
+			m[a.comp][a.comp]++
+			for _, b := range run[x+1:] {
+				m[a.comp][b.comp]++
+				m[b.comp][a.comp]++
 			}
 		}
+		i = j
 	}
 	return m
 }
