@@ -148,8 +148,9 @@ func (s *Store) Flatten() []*graph.Graph {
 // filter is a guard).
 func Partition(g *graph.Graph, k int) (comps []*graph.Graph, keys []ComponentKey, peeled int) {
 	members, keys, peeled := split(g, k)
+	var s graph.Scratch
 	for _, vs := range members {
-		comps = append(comps, extract(g, vs))
+		comps = append(comps, extract(g, vs, &s))
 	}
 	return comps, keys, peeled
 }
@@ -255,14 +256,17 @@ func split(g *graph.Graph, k int) (members [][]int, keys []ComponentKey, peeled 
 }
 
 // extract builds the subgraph of g on the ascending ids vs, as a heap
-// graph. A component spanning all of g is g itself, copied off a mapped
-// snapshot: the other components are heap copies already, and the
-// enumeration engine's flow probes must not random-access the mapping.
-func extract(g *graph.Graph, vs []int) *graph.Graph {
+// graph, renumbering through s: the members' runs in g still list their
+// peeled neighbours, so a stamp array beats a map even for a small
+// component. A component spanning all of g is g itself, copied off a
+// mapped snapshot: the other components are heap copies already, and
+// the enumeration engine's flow probes must not random-access the
+// mapping.
+func extract(g *graph.Graph, vs []int, s *graph.Scratch) *graph.Graph {
 	if len(vs) == g.NumVertices() {
 		return g.Materialize()
 	}
-	return g.InducedSubgraph(vs)
+	return g.InducedSubgraphScratch(vs, s)
 }
 
 // Run enumerates the k-VCCs of g component by component, reusing from
@@ -290,13 +294,14 @@ func Run(ctx context.Context, g *graph.Graph, k int, opts core.Options, prev *St
 	slots := make([]*ComponentResult, len(members))
 	var batch []*graph.Graph
 	var batchIdx []int
+	var s graph.Scratch
 	for i := range members {
 		if cr, ok := prev.lookup(keys[i]); ok {
 			stats.ComponentsReused++
 			slots[i] = cr
 			continue
 		}
-		batch = append(batch, extract(g, members[i]))
+		batch = append(batch, extract(g, members[i], &s))
 		batchIdx = append(batchIdx, i)
 	}
 
