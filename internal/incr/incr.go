@@ -160,7 +160,8 @@ func Partition(g *graph.Graph, k int) (comps []*graph.Graph, keys []ComponentKey
 // from g. The reduced graph is never built, so a caller that reuses most
 // components (Run after a local edit) extracts only the ones it
 // recomputes. Every pass — the peel, the union-find labelling and the
-// hashing — walks g's adjacency forward, as Partition's reduction did.
+// hashing — walks g's adjacency forward, so a graph adopted from a cold
+// mapped snapshot is read sequentially.
 func split(g *graph.Graph, k int) (members [][]int, keys []ComponentKey, peeled int) {
 	removed, peeled := kcore.Peel(g, k)
 	n := g.NumVertices()
