@@ -6,7 +6,7 @@
 //
 //	go run ./cmd/kvccd -demo -addr :7474
 //	curl -s localhost:7474/api/v1/enumerate \
-//	     -d '{"graph":"demo","k":5}' | head
+//	     -d '{"graph":"demo","k":5}' | jq . | head
 package main
 
 import (

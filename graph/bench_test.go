@@ -81,3 +81,35 @@ func BenchmarkBuilder(b *testing.B) {
 		FromLabeledEdges(edges)
 	}
 }
+
+// BenchmarkDeltaCompact measures one edit batch of the edit path on a
+// base shaped like DBLP's (10k vertices, 68k edges): 4 inserts and 4
+// deletions of base edges, then Compact. After the first op every
+// deletion hits an edge of a compacted base, so the overlay always
+// carries pending deletions.
+func BenchmarkDeltaCompact(b *testing.B) {
+	const n, m = 10_000, 68_000
+	rng := rand.New(rand.NewSource(9))
+	edges := make([][2]int, m)
+	for i := range edges {
+		edges[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+	}
+	d := NewDelta(FromEdges(n, edges))
+	g := d.Compact()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 4; {
+			if d.InsertEdge(int64(rng.Intn(n)), int64(rng.Intn(n))) {
+				k++
+			}
+		}
+		for k := 0; k < 4; {
+			u := rng.Intn(n)
+			if run := g.Neighbors(u); len(run) > 0 && d.DeleteEdge(g.Label(u), g.Label(run[rng.Intn(len(run))])) {
+				k++
+			}
+		}
+		g = d.Compact()
+	}
+}

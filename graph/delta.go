@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -9,8 +10,11 @@ import (
 // insertions and deletions plus appended vertices, with a monotonically
 // increasing version stamp. The base CSR is never touched; reads
 // (Neighbors, HasEdge, Degree) merge the overlay on the fly, and Compact
-// materializes a fresh normalized CSR through the same counting-sort
-// skeleton the static builders use, rebasing the overlay onto it.
+// materializes a fresh normalized CSR and rebases the overlay onto it.
+// Both do per-edge work only at touched vertices (endpoints of a pending
+// edit): an untouched vertex's base run is its adjacency and is copied
+// whole, so a small batch on a large base costs O(n + m) word copies plus
+// the merge of the touched runs, not a per-edge overlay lookup.
 //
 // Vertex ids are stable across the overlay's lifetime: base vertices keep
 // their ids, new vertices are appended after them, and Compact preserves
@@ -44,7 +48,14 @@ type Delta struct {
 	insAdj map[int][]int
 
 	// degDelta is the per-vertex degree adjustment from pending edits.
+	// It has a key for every endpoint of every insert or delete since the
+	// last rebase, cancelled ones included (their value may be 0), so its
+	// key set is a superset of the vertices whose adjacency differs from
+	// the base run: a vertex without a key reads its base run unmerged.
 	degDelta map[int]int
+
+	// touched is Compact's reused buffer of degDelta's keys, sorted.
+	touched []int
 
 	m int // current undirected edge count (base +inserts -deletes)
 
@@ -281,17 +292,20 @@ func (d *Delta) Neighbors(v int) []int {
 // path: one ascending-v sweep of MergedNeighbors reads the base CSR
 // strictly sequentially, which is what keeps compaction of an mmap'd base
 // paging-friendly. The merged run's length always equals Degree(v).
+//
+// A vertex no pending edit touches costs one bulk copy of its base run;
+// a touched vertex merges its base run with its inserted neighbours and
+// checks each base edge against the pending deletions.
 func (d *Delta) MergedNeighbors(v int, buf []int) []int {
 	buf = buf[:0]
 	var baseRun []int
 	if v < d.baseN() {
 		baseRun = d.base.Neighbors(v)
 	}
-	ins := d.insAdj[v]
-	if len(ins) == 0 && len(d.del) == 0 {
-		// Untouched vertex in a deletion-free overlay: one bulk copy.
+	if _, touched := d.degDelta[v]; !touched {
 		return append(buf, baseRun...)
 	}
+	ins := d.insAdj[v]
 	i, j := 0, 0
 	for i < len(baseRun) || j < len(ins) {
 		switch {
@@ -309,6 +323,10 @@ func (d *Delta) MergedNeighbors(v int, buf []int) []int {
 	return buf
 }
 
+// zeroOffsets stands in for the offsets of an empty base (the zero Graph
+// has none), so Compact can read offsets[baseN()] unconditionally.
+var zeroOffsets = []int{0}
+
 // Compact materializes the overlay into a fresh normalized CSR Graph,
 // rebases the overlay onto it (pending edits drain into the new base),
 // and returns it. The version stamp is preserved, and the result is
@@ -316,32 +334,70 @@ func (d *Delta) MergedNeighbors(v int, buf []int) []int {
 // same *Graph, so downstream consumers can use pointer identity as a
 // cheap "nothing changed" test.
 //
-// Unlike the static builders' counting-sort skeleton, Compact never
-// re-sorts or deduplicates: the overlay's invariants (base runs sorted,
-// inserted neighbors kept sorted, inserts guaranteed absent from base)
-// let the merged degree come from Degree(v) in O(1) and each adjacency
-// run merge-write directly into its final slot. The pass allocates
-// exactly the result arrays — offsets and edges — so peak memory is the
-// old graph plus the new one, with no intermediate copies, and the base
-// CSR is read once, sequentially (it may be a cold mmap). The label
-// table and the overlay's bookkeeping maps are reused across compactions
-// whenever capacities suffice.
+// Compact never re-sorts or deduplicates: the overlay's invariants (base
+// runs sorted, inserted neighbors kept sorted, inserts guaranteed absent
+// from base) let each touched vertex's run merge-write directly into its
+// final slot. Every other vertex keeps its base run, shifted by the
+// running sum of the degree changes before it, so the base offsets are
+// copied once with that shift added and each stretch of untouched
+// vertices between two touched ones moves with a single copy. The cost
+// is O(n + m) word copies plus O(t log t + merged runs) for t touched
+// vertices, with no per-edge map lookup outside the touched runs. The
+// pass allocates exactly the result arrays — offsets and edges — so peak
+// memory is the old graph plus the new one, with no intermediate copies,
+// and the base CSR is read once, sequentially (it may be a cold mmap).
+// The label table, the overlay's bookkeeping maps and the touched-id
+// buffer are reused across compactions whenever capacities suffice.
 func (d *Delta) Compact() *Graph {
 	if d.compacted != nil {
 		return d.compacted
 	}
-	n := len(d.labels)
-	offsets := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + d.Degree(v)
+	n, bn := len(d.labels), d.baseN()
+	boff, bedges := d.base.offsets, d.base.edges
+	if bn == 0 {
+		boff = zeroOffsets
 	}
-	edges := make([]int, offsets[n])
-	for v := 0; v < n; v++ {
-		lo, hi := offsets[v], offsets[v+1]
-		run := d.MergedNeighbors(v, edges[lo:lo:hi])
-		if len(run) != hi-lo {
+	d.touched = slices.Grow(d.touched[:0], len(d.degDelta))
+	for v := range d.degDelta {
+		d.touched = append(d.touched, v)
+	}
+	slices.Sort(d.touched)
+
+	// Unshifted offsets: base vertices keep theirs, appended vertices have
+	// an empty base run at the end of the base edges.
+	offsets := make([]int, n+1)
+	copy(offsets, boff[:bn+1])
+	for v := bn + 1; v <= n; v++ {
+		offsets[v] = boff[bn]
+	}
+	edges := make([]int, 2*d.m)
+	shift, next := 0, 0 // next is the first vertex not yet placed
+	for i := 0; i <= len(d.touched); i++ {
+		t := n + 1 // past the end, so the last stretch takes offsets[n] too
+		if i < len(d.touched) {
+			t = d.touched[i]
+		}
+		// Vertices next..t-1 are untouched: shift their offsets and move
+		// their base runs as one block.
+		for v := next; v < t; v++ {
+			offsets[v] += shift
+		}
+		lo, hi := boff[min(next, bn)], boff[min(t, bn)]
+		copy(edges[lo+shift:], bedges[lo:hi])
+		if t > n {
+			break
+		}
+		start := offsets[t] + shift
+		offsets[t] = start
+		end := start + d.Degree(t)
+		if len(d.MergedNeighbors(t, edges[start:start:end])) != end-start {
 			panic("graph: Delta degree bookkeeping diverged from merged adjacency")
 		}
+		shift += d.degDelta[t]
+		next = t + 1
+	}
+	if offsets[n] != len(edges) {
+		panic("graph: Delta degree bookkeeping diverged from edge count")
 	}
 	g := &Graph{
 		offsets: offsets,

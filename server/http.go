@@ -247,9 +247,7 @@ func respond(w http.ResponseWriter, body any, err error) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body)
+	json.NewEncoder(w).Encode(body)
 }
 
 // statusClientClosedRequest is the (nginx-coined) status for a request
