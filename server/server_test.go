@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -393,6 +395,20 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	if stats.Cache.Hits < 1 || stats.Enumerations.Started != 1 {
 		t.Fatalf("stats = %+v", stats)
+	}
+
+	// Bodies are compact JSON: one line, ended by the encoder's newline.
+	resp, err := http.Post(ts.URL+"/api/v1/enumerate", "application/json", strings.NewReader(`{"graph":"fig2","k":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(string(raw), "\n") != 1 || !strings.HasSuffix(string(raw), "}\n") {
+		t.Fatalf("enumerate body is not one line of JSON: %q", raw)
 	}
 }
 
