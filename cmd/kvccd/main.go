@@ -8,7 +8,7 @@
 //
 //	kvccd -graph social=social.txt -graph web=web.txt [-addr :7474]
 //	      [-cache 64] [-max-k 0] [-parallel 1] [-index]
-//	      [-request-timeout 30s] [-compute-timeout 5m] [-max-timeout 0]
+//	      [-request-timeout 30s] [-compute-timeout 5m]
 //	      [-max-inflight 0] [-quota rps[:burst]] [-drain-timeout 10s]
 //	      [-data-dir DIR] [-checkpoint-every 0] [-demo]
 //
@@ -81,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxK            = fs.Int("max-k", 0, "reject queries with k above this (0 = no limit)")
 		parallel        = fs.Int("parallel", 1, "enumeration worker count")
 		index           = fs.Bool("index", false, "precompute the hierarchy index of every graph at startup")
-		requestTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request wait ceiling")
+		requestTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request wait ceiling; a larger client timeout_ms is clamped to it")
 		computeTimeout  = fs.Duration("compute-timeout", 5*time.Minute, "per-enumeration ceiling")
 		demo            = fs.Bool("demo", false, `also serve a generated community graph as "demo"`)
 		dataDir         = fs.String("data-dir", "", "durable store directory: graphs survive restarts via snapshot + WAL (empty = in-memory only)")
@@ -89,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxInflight     = fs.Int("max-inflight", 0, "concurrent expensive enumerations before requests queue and shed (0 = GOMAXPROCS)")
 		quota           = fs.String("quota", "", "per-tenant admission quota as rps[:burst], keyed by X-API-Key (empty = no quotas)")
 		drainTimeout    = fs.Duration("drain-timeout", 10*time.Second, "how long a SIGTERM/SIGINT shutdown waits for in-flight requests")
-		maxTimeout      = fs.Duration("max-timeout", 0, "ceiling for client-supplied timeout_ms; larger values are clamped (0 = request-timeout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -127,7 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxInflight:     *maxInflight,
 		QuotaRPS:        quotaRPS,
 		QuotaBurst:      quotaBurst,
-		MaxTimeout:      *maxTimeout,
 	}
 	// With -data-dir, Open recovers every previously served graph from its
 	// snapshot + WAL before any file ingestion: a restart serves the exact

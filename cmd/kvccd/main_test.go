@@ -18,6 +18,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad-flag", []string{"-wat"}, 2},
 		{"removed-index-measures", []string{"-demo", "-index-measures", "kvcc,bogus"}, 2},
 		{"removed-index-max-k", []string{"-demo", "-index-max-k", "3"}, 2},
+		{"removed-max-timeout", []string{"-demo", "-max-timeout", "1s"}, 2},
 		{"stray-arg", []string{"-demo", "stray", "-data-dir", t.TempDir()}, 2},
 		{"bad-quota", []string{"-demo", "-quota", "0"}, 2},
 		{"empty-data-dir", []string{"-data-dir", t.TempDir()}, 2},

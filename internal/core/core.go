@@ -97,8 +97,7 @@ type Stats struct {
 	Phase2Pairs   int64 `json:"phase2_pairs"`   // neighbor pairs tested in phase 2
 	Phase2Skipped int64 `json:"phase2_skipped"` // pairs skipped by group sweep rule 3
 
-	SSVDetected  int64 `json:"ssv_detected"`  // strong side-vertices found by the pairwise test
-	SSVInherited int64 `json:"ssv_inherited"` // SSVs carried across a partition (Lemmas 15-16)
+	SSVDetected int64 `json:"ssv_detected"` // strong side-vertices found by the pairwise test
 
 	CutFallbacks int64 `json:"cut_fallbacks"` // defensive re-computations of an invalid cut (expect 0)
 	PeakBytes    int64 `json:"peak_bytes"`    // peak structural bytes held by queued subgraphs + results
@@ -147,7 +146,6 @@ func (s *Stats) Add(s2 *Stats) {
 	s.Phase2Pairs += s2.Phase2Pairs
 	s.Phase2Skipped += s2.Phase2Skipped
 	s.SSVDetected += s2.SSVDetected
-	s.SSVInherited += s2.SSVInherited
 	s.CutFallbacks += s2.CutFallbacks
 	s.ColdPages += s2.ColdPages
 	s.ComponentsRecomputed += s2.ComponentsRecomputed
@@ -155,13 +153,6 @@ func (s *Stats) Add(s2 *Stats) {
 	if s2.PeakBytes > s.PeakBytes {
 		s.PeakBytes = s2.PeakBytes
 	}
-}
-
-// task is one unit of recursive work: a subgraph to decompose, plus the
-// strong side-vertex hint inherited from its parent (Lemmas 15-16).
-type task struct {
-	g    *graph.Graph
-	hint *ssvHint
 }
 
 // Enumerate computes all k-VCCs of g. The result graphs preserve the
@@ -207,14 +198,12 @@ func EnumerateComponentsContext(ctx context.Context, comps []*graph.Graph, k int
 	if k < 1 {
 		return nil, nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
-	tasks := make([]task, 0, len(comps))
 	for _, g := range comps {
 		if g == nil {
 			return nil, nil, errors.New("core: nil graph")
 		}
-		tasks = append(tasks, task{g: g})
 	}
-	if len(tasks) == 0 {
+	if len(comps) == 0 {
 		// Nothing to do — and the parallel driver must not start: with an
 		// empty seed the task queue would never close and the workers
 		// would block in pop() forever.
@@ -224,9 +213,9 @@ func EnumerateComponentsContext(ctx context.Context, comps []*graph.Graph, k int
 	var results []*graph.Graph
 	stats := &Stats{}
 	if opts.Parallelism >= 2 {
-		results = e.runParallel(tasks, stats)
+		results = e.runParallel(comps, stats)
 	} else {
-		results = e.runSerial(tasks, stats)
+		results = e.runSerial(comps, stats)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -247,7 +236,7 @@ type enumerator struct {
 // buffers, and the reusable per-component cut-finder state. One workspace
 // serves a whole driver (or one worker of the parallel pool), so the
 // steady-state recursion allocates only what it returns: result
-// subgraphs, certificates, cuts, and hints.
+// subgraphs, certificates and cuts.
 type workspace struct {
 	graph  graph.Scratch
 	flow   flow.Scratch
@@ -256,31 +245,31 @@ type workspace struct {
 }
 
 // runSerial is the deterministic single-threaded driver.
-func (e *enumerator) runSerial(seed []task, stats *Stats) []*graph.Graph {
+func (e *enumerator) runSerial(seed []*graph.Graph, stats *Stats) []*graph.Graph {
 	var results []*graph.Graph
 	var ws workspace
 	// The queue pops LIFO, so load the seeds reversed: batch members are
 	// then processed in their given (ascending component) order, which on
 	// a mapped snapshot keeps the first pass over each component moving
 	// forward through the edges array instead of starting from the back.
-	queue := make([]task, len(seed))
-	for i, t := range seed {
-		queue[len(seed)-1-i] = t
+	queue := make([]*graph.Graph, len(seed))
+	for i, g := range seed {
+		queue[len(seed)-1-i] = g
 	}
 	var liveBytes, resultBytes int64
-	for _, t := range seed {
-		liveBytes += t.g.Bytes()
+	for _, g := range seed {
+		liveBytes += g.Bytes()
 	}
 	for len(queue) > 0 {
 		if e.ctx.Err() != nil {
 			return nil
 		}
-		t := queue[len(queue)-1]
+		g := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		liveBytes -= t.g.Bytes()
-		children, vccs := e.step(t, stats, &ws)
+		liveBytes -= g.Bytes()
+		children, vccs := e.step(g, stats, &ws)
 		for _, c := range children {
-			liveBytes += c.g.Bytes()
+			liveBytes += c.Bytes()
 		}
 		for _, v := range vccs {
 			resultBytes += v.Bytes()
@@ -300,7 +289,7 @@ func (e *enumerator) runSerial(seed []task, stats *Stats) []*graph.Graph {
 // runSerial but uses atomics: each worker settles its task's byte delta
 // and races the observed total against the shared peak, so parallel runs
 // report a PeakBytes comparable to (not byte-equal with) the serial one.
-func (e *enumerator) runParallel(seed []task, stats *Stats) []*graph.Graph {
+func (e *enumerator) runParallel(seed []*graph.Graph, stats *Stats) []*graph.Graph {
 	var (
 		mu      sync.Mutex
 		results []*graph.Graph
@@ -311,13 +300,13 @@ func (e *enumerator) runParallel(seed []task, stats *Stats) []*graph.Graph {
 	// observed at task settlement points only, so a run that peels
 	// everything in one step reports 0 in both drivers.
 	var seedBytes int64
-	for _, t := range seed {
-		seedBytes += t.g.Bytes()
+	for _, g := range seed {
+		seedBytes += g.Bytes()
 	}
 	liveBytes.Store(seedBytes)
 	q := newTaskQueue()
-	for _, t := range seed {
-		q.push(t)
+	for _, g := range seed {
+		q.push(g)
 	}
 	var workers sync.WaitGroup
 	for w := 0; w < e.opts.Parallelism; w++ {
@@ -326,7 +315,7 @@ func (e *enumerator) runParallel(seed []task, stats *Stats) []*graph.Graph {
 			defer workers.Done()
 			var ws workspace
 			for {
-				t, ok := q.pop()
+				g, ok := q.pop()
 				if !ok {
 					return
 				}
@@ -335,10 +324,10 @@ func (e *enumerator) runParallel(seed []task, stats *Stats) []*graph.Graph {
 					continue
 				}
 				local := &Stats{}
-				children, vccs := e.step(t, local, &ws)
-				delta := -t.g.Bytes()
+				children, vccs := e.step(g, local, &ws)
+				delta := -g.Bytes()
 				for _, c := range children {
-					delta += c.g.Bytes()
+					delta += c.Bytes()
 				}
 				var resDelta int64
 				for _, v := range vccs {
@@ -373,13 +362,13 @@ func (e *enumerator) runParallel(seed []task, stats *Stats) []*graph.Graph {
 
 // step performs one level of Algorithm 1 on a queued subgraph: k-core
 // reduction, component split, cut search, and overlapped partition. It
-// returns the child tasks and any k-VCCs found. The workspace is reused
+// returns the child subgraphs and any k-VCCs found. The workspace is reused
 // for every subgraph extraction, certificate, and flow network in this
 // step (and across the caller's steps), which keeps the hot recursion at
 // a constant number of allocations per extracted subgraph.
-func (e *enumerator) step(t task, stats *Stats, ws *workspace) (children []task, vccs []*graph.Graph) {
+func (e *enumerator) step(g *graph.Graph, stats *Stats, ws *workspace) (children, vccs []*graph.Graph) {
 	scratch := &ws.graph
-	cored, peeled := kcore.ReduceScratch(t.g, e.k, scratch)
+	cored, peeled := kcore.ReduceScratch(g, e.k, scratch)
 	stats.KCorePeeled += int64(peeled)
 	if cored.NumVertices() == 0 {
 		return nil, nil
@@ -403,7 +392,7 @@ func (e *enumerator) step(t task, stats *Stats, ws *workspace) (children []task,
 			continue
 		}
 		stats.GlobalCutCalls++
-		cut, childHint := e.findCut(sub, t.hint, stats, ws)
+		cut := e.findCut(sub, stats, ws)
 		if cut == nil {
 			vccs = append(vccs, sub)
 			continue
@@ -425,9 +414,7 @@ func (e *enumerator) step(t task, stats *Stats, ws *workspace) (children []task,
 			}
 		}
 		stats.Partitions++
-		for _, p := range parts {
-			children = append(children, task{g: p, hint: childHint})
-		}
+		children = append(children, parts...)
 	}
 	return children, vccs
 }

@@ -7,17 +7,16 @@ import (
 )
 
 // findCut searches a connected component for a vertex cut with fewer than
-// k vertices. It returns nil if the component is k-connected. The returned
-// hint carries this component's strong side-vertex set to its children.
-// Every variant runs its flow tests on the component's sparse certificate
+// k vertices. It returns nil if the component is k-connected. Every
+// variant runs its flow tests on the component's sparse certificate
 // (Theorem 5), whatever the component's size: the certificate costs one
 // O(n+m) pass, and its last forest gives the group sweep its side groups.
-func (e *enumerator) findCut(g *graph.Graph, hint *ssvHint, stats *Stats, ws *workspace) ([]int, *ssvHint) {
+func (e *enumerator) findCut(g *graph.Graph, stats *Stats, ws *workspace) []int {
 	cert := sparse.ComputeScratch(g, e.k, &ws.sparse)
 	if e.opts.Algorithm == VCCE {
-		return e.findCutBasic(g, cert.SC, stats, ws), nil
+		return e.findCutBasic(g, cert.SC, stats, ws)
 	}
-	return e.findCutOptimized(g, cert, hint, stats, ws)
+	return e.findCutOptimized(g, cert, stats, ws)
 }
 
 // findCutBasic is GLOBAL-CUT (Algorithm 2) on component g with its flow
@@ -82,7 +81,6 @@ type cutFinder struct {
 
 	useNS, useGS bool
 
-	hint    *ssvHint
 	ssvMemo []int8
 	stats   *Stats
 
@@ -119,7 +117,7 @@ func growClear[T bool | int | int8 | uint8](s []T, n int) []T {
 }
 
 // reset primes cf for a new component.
-func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, cert *sparse.Certificate, hint *ssvHint, stats *Stats, ws *workspace) {
+func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, cert *sparse.Certificate, stats *Stats, ws *workspace) {
 	n := g.NumVertices()
 	cf.g = g
 	cf.sc = cert.SC
@@ -127,7 +125,6 @@ func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, cert *sparse.Certifica
 	cf.nw = flow.NewNetworkScratch(cert.SC, e.k, &ws.flow)
 	cf.useNS = e.opts.Algorithm.neighborSweep()
 	cf.useGS = e.opts.Algorithm.groupSweep()
-	cf.hint = hint
 	cf.stats = stats
 	cf.ssvMemo = growClear(cf.ssvMemo, n)
 	cf.pru = growClear(cf.pru, n)
@@ -150,9 +147,9 @@ func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, cert *sparse.Certifica
 
 // findCutOptimized is GLOBAL-CUT* (Algorithm 3) with the sweep strategies
 // selected by the algorithm variant.
-func (e *enumerator) findCutOptimized(g *graph.Graph, cert *sparse.Certificate, hint *ssvHint, stats *Stats, ws *workspace) ([]int, *ssvHint) {
+func (e *enumerator) findCutOptimized(g *graph.Graph, cert *sparse.Certificate, stats *Stats, ws *workspace) []int {
 	cf := &ws.cf
-	cf.reset(e, g, cert, hint, stats, ws)
+	cf.reset(e, g, cert, stats, ws)
 	defer func() { stats.FlowRuns += cf.nw.FlowRuns }()
 
 	n := g.NumVertices()
@@ -201,7 +198,7 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, cert *sparse.Certificate, 
 		stats.TestedNonPrune++
 		if !cf.g.HasEdge(u, v) { // Lemma 5 shortcut on the full component
 			if cut, _, atLeast := cf.nw.MinVertexCut(u, v); !atLeast {
-				return cut, cf.buildHint()
+				return cut
 			}
 		}
 		cf.sweep(v, causeTested)
@@ -224,17 +221,12 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, cert *sparse.Certificate, 
 					continue
 				}
 				if cut, _, atLeast := cf.nw.MinVertexCut(va, vb); !atLeast {
-					return cut, cf.buildHint()
+					return cut
 				}
 			}
 		}
 	}
-	// No cut: the component is a k-VCC and will never be partitioned, so
-	// there are no children to hand a hint to — skip building one. This
-	// matters: terminal components resolve the most SSV statuses (full
-	// phase-1 and phase-2 scans), which made their discarded hints the
-	// most expensive ones.
-	return nil, nil
+	return nil
 }
 
 // orderByDistance lays out the vertices other than u in non-ascending

@@ -147,7 +147,7 @@ func TestBasicHasNoSweeps(t *testing.T) {
 	if st.SweptNS1+st.SweptNS2+st.SweptGS != 0 {
 		t.Fatalf("VCCE performed sweeps: %+v", st)
 	}
-	if st.SSVDetected+st.SSVInherited != 0 {
+	if st.SSVDetected != 0 {
 		t.Fatalf("VCCE detected SSVs: %+v", st)
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"kvcc/graph"
+)
 
 // taskQueue is the shared work frontier of the parallel driver: an
 // unbounded mutex-guarded deque. The previous implementation was a
@@ -14,7 +18,7 @@ import "sync"
 type taskQueue struct {
 	mu      sync.Mutex
 	cond    sync.Cond
-	items   []task
+	items   []*graph.Graph
 	pending int  // tasks pushed and not yet finished
 	done    bool // pending hit zero: the recursion is complete
 }
@@ -25,10 +29,10 @@ func newTaskQueue() *taskQueue {
 	return q
 }
 
-// push enqueues t. It never blocks; the backing slice grows as needed.
-func (q *taskQueue) push(t task) {
+// push enqueues g. It never blocks; the backing slice grows as needed.
+func (q *taskQueue) push(g *graph.Graph) {
 	q.mu.Lock()
-	q.items = append(q.items, t)
+	q.items = append(q.items, g)
 	q.pending++
 	q.mu.Unlock()
 	q.cond.Signal()
@@ -39,20 +43,20 @@ func (q *taskQueue) push(t task) {
 // means every pushed task has been finished and the queue is closed for
 // good. LIFO order keeps the frontier depth-first and therefore narrow,
 // mirroring the serial driver's stack.
-func (q *taskQueue) pop() (t task, ok bool) {
+func (q *taskQueue) pop() (g *graph.Graph, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.done {
 		q.cond.Wait()
 	}
 	if q.done {
-		return task{}, false
+		return nil, false
 	}
 	last := len(q.items) - 1
-	t = q.items[last]
-	q.items[last] = task{} // drop the reference so the subgraph can be freed
+	g = q.items[last]
+	q.items[last] = nil // drop the reference so the subgraph can be freed
 	q.items = q.items[:last]
-	return t, true
+	return g, true
 }
 
 // finish marks one popped task complete. Workers must push a task's

@@ -19,7 +19,7 @@ func TestTaskQueueDrainsRecursiveWork(t *testing.T) {
 	var budget atomic.Int64
 	budget.Store(500)
 	var processed atomic.Int64
-	q.push(task{g: marker})
+	q.push(marker)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -34,7 +34,7 @@ func TestTaskQueueDrainsRecursiveWork(t *testing.T) {
 				processed.Add(1)
 				for c := 0; c < 3; c++ {
 					if budget.Add(-1) >= 0 {
-						q.push(task{g: marker})
+						q.push(marker)
 					}
 				}
 				q.finish()

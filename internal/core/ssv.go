@@ -1,8 +1,6 @@
 package core
 
-import "kvcc/graph"
-
-// Strong side-vertex (SSV) handling, Theorem 8 and Lemmas 14-16.
+// Strong side-vertex (SSV) handling, Theorem 8.
 //
 // A vertex u is a strong side-vertex if every pair of its neighbors is
 // adjacent or shares at least k common neighbors; such a vertex cannot
@@ -19,33 +17,19 @@ import "kvcc/graph"
 // Terminal (k-connected) components resolve more, but they are exactly the
 // components where the answers pay for themselves by sweeping phase 1 and
 // skipping phase 2.
+//
+// Every status is tested on the component being searched. The paper's
+// Lemmas 15-16 would carry statuses into the pieces of an overlapped
+// partition instead, but a carried "no" is often wrong for the piece (a
+// vertex whose failing neighbor pair lost a member to the partition can be
+// an SSV there) and forgoes pruning, and with lazy resolution the carried
+// answers saved no measured time.
 
 const (
 	ssvUnknown int8 = iota
 	ssvYes
 	ssvNo
 )
-
-// ssvHint carries resolved SSV knowledge from a parent component to the
-// subgraphs created by partitioning it:
-//
-//   - Lemma 15: a resolved "no" propagates as "no". The answer is
-//     conservative, not exact: a vertex whose failing neighbor pair lost
-//     a member to the partition can be an SSV of the child, and treating
-//     it as a non-SSV only forgoes pruning.
-//   - Lemma 16 (strengthened to survive the k-core reduction between
-//     partitions): a parent SSV whose own degree and all of whose
-//     neighbors' degrees are unchanged in the child has an identical
-//     two-hop structure there and remains an SSV without rechecking.
-//     Children only ever remove vertices and edges, so equal degree means
-//     equal neighborhood.
-//
-// Unresolved vertices stay unknown and are rechecked on the child graph if
-// ever queried, which is intrinsically sound.
-type ssvHint struct {
-	ssv map[int64]bool // resolved statuses by label (true = SSV)
-	deg map[int64]int  // parent degrees of SSVs and of their neighbors
-}
 
 // isSSV resolves the strong side-vertex status of v, memoized.
 func (cf *cutFinder) isSSV(v int) bool {
@@ -55,84 +39,13 @@ func (cf *cutFinder) isSSV(v int) bool {
 	case ssvNo:
 		return false
 	}
-	res := cf.resolveSSV(v)
-	if res {
-		cf.ssvMemo[v] = ssvYes
-	} else {
-		cf.ssvMemo[v] = ssvNo
-	}
-	return res
-}
-
-// testHookHinted, when set, is called with every status resolveSSV takes
-// from the parent's hint instead of testing it.
-var testHookHinted func(cf *cutFinder, v int, ssv bool)
-
-func (cf *cutFinder) resolveSSV(v int) bool {
-	if ssv, ok := cf.hinted(v); ok {
-		if testHookHinted != nil {
-			testHookHinted(cf, v, ssv)
-		}
-		return ssv
-	}
 	if cf.checkSSV(v) {
+		cf.ssvMemo[v] = ssvYes
 		cf.stats.SSVDetected++
 		return true
 	}
+	cf.ssvMemo[v] = ssvNo
 	return false
-}
-
-// hinted resolves v's status from the parent's hint; ok is false when the
-// hint does not decide it.
-func (cf *cutFinder) hinted(v int) (ssv, ok bool) {
-	h := cf.hint
-	if h == nil {
-		return false, false
-	}
-	known, resolved := h.ssv[cf.g.Label(v)]
-	switch {
-	case !resolved:
-		return false, false
-	case !known:
-		return false, true // Lemma 15
-	case h.preserved(cf.g, v):
-		cf.stats.SSVInherited++
-		return true, true // Lemma 16
-	}
-	return false, false
-}
-
-// buildHint snapshots the resolved part of the memo for the child tasks.
-func (cf *cutFinder) buildHint() *ssvHint {
-	h := &ssvHint{ssv: make(map[int64]bool), deg: make(map[int64]int)}
-	for v, st := range cf.ssvMemo {
-		switch st {
-		case ssvYes:
-			lab := cf.g.Label(v)
-			h.ssv[lab] = true
-			h.deg[lab] = cf.g.Degree(v)
-			for _, w := range cf.g.Neighbors(v) {
-				h.deg[cf.g.Label(w)] = cf.g.Degree(w)
-			}
-		case ssvNo:
-			h.ssv[cf.g.Label(v)] = false
-		}
-	}
-	return h
-}
-
-// preserved reports whether vertex v of g kept its parent degree and all
-// its neighbors kept theirs (the Lemma 16 shortcut condition).
-func (h *ssvHint) preserved(g *graph.Graph, v int) bool {
-	if d, ok := h.deg[g.Label(v)]; !ok || d != g.Degree(v) {
-		return false
-	}
-	for _, w := range g.Neighbors(v) {
-		if d, ok := h.deg[g.Label(w)]; !ok || d != g.Degree(w) {
-			return false
-		}
-	}
-	return true
 }
 
 // checkSSV runs the Theorem 8 test: v is a strong side-vertex if every

@@ -3,6 +3,7 @@ package difftest
 import (
 	"testing"
 
+	"kvcc/gen"
 	"kvcc/internal/flow"
 	"kvcc/internal/verify"
 )
@@ -10,8 +11,19 @@ import (
 // TestVariantsAgree diffs all four algorithm variants (and the parallel
 // driver) against each other on every corpus graph and every k up to the
 // case's MaxK.
+//
+// One extra planted graph rides along: at k = 6 one of its partitioned
+// components has a strong side-vertex that is not a strong side-vertex of
+// the piece it lands in, the case where a status carried across the
+// partition (the paper's Lemma 16) would be wrong.
 func TestVariantsAgree(t *testing.T) {
-	for _, c := range Corpus() {
+	ssvLoss, _ := gen.Planted(gen.PlantedConfig{
+		Communities: 5, MinSize: 8, MaxSize: 12, IntraProb: 0.8,
+		ChainOverlap: 2, ChainEvery: 1, BridgeEdges: 5,
+		NoiseVertices: 20, NoiseDegree: 3, Seed: 19,
+	})
+	cases := append(Corpus(), Case{Name: "planted-ssv-loss", G: ssvLoss, MaxK: 6})
+	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
 			for k := 2; k <= c.MaxK; k++ {
 				CheckVariantsAgree(t, c.G, k)

@@ -359,7 +359,7 @@ type AdmissionStats struct {
 	QueueWaitP99MS float64 `json:"queue_wait_p99_ms"`
 	// Degraded counts responses served from a previous generation under
 	// deadline or overload pressure; TimeoutsClamped the requests whose
-	// timeout_ms hit the MaxTimeout ceiling; IdempotentReplays the Edits
+	// timeout_ms hit the RequestTimeout ceiling; IdempotentReplays the Edits
 	// batches answered from the replay table.
 	Degraded          int64 `json:"degraded,omitempty"`
 	TimeoutsClamped   int64 `json:"timeouts_clamped,omitempty"`

@@ -12,6 +12,11 @@ import (
 	"kvcc/hierarchy"
 )
 
+// indexBuildTimeout bounds one hierarchy-index build. It is independent of
+// Config.ComputeTimeout because an index build covers every level, not
+// one k.
+const indexBuildTimeout = 10 * time.Minute
+
 // indexKey addresses one hierarchy index: every registered graph can hold
 // one tree per cohesion measure, built independently. The zero measure is
 // kvcc, so single-measure deployments key exactly as they always did.
@@ -131,7 +136,7 @@ func (s *Server) startIndexBuildLocked(name string, e graphEntry, m cohesion.Mea
 	if old := s.indexes[key]; old != nil {
 		old.cancel()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.IndexBuildTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), indexBuildTimeout)
 	ix := &graphIndex{
 		graph:   name,
 		measure: m,
@@ -207,7 +212,7 @@ func (s *Server) readyIndex(name string, gen uint64, m cohesion.Measure) *graphI
 // build on demand if none matches the current generation, and waiting for
 // completion within ctx. This is the blocking path behind the hierarchy
 // and cohesion endpoints, which exist only in terms of the index. A build
-// that completed with an error (e.g. it hit IndexBuildTimeout) is not
+// that completed with an error (e.g. it hit indexBuildTimeout) is not
 // cached: the next request starts a fresh build rather than replaying the
 // stale failure forever. An index of a newer generation than this
 // caller's lookup is used as-is — newer is the current graph.

@@ -217,10 +217,7 @@ func TestDegradedFallbackOnShed(t *testing.T) {
 }
 
 func TestTimeoutClampAndValidation(t *testing.T) {
-	s := testServer(Config{
-		RequestTimeout: 5 * time.Second,
-		MaxTimeout:     50 * time.Millisecond,
-	})
+	s := testServer(Config{RequestTimeout: 50 * time.Millisecond})
 	ctx := context.Background()
 
 	if _, err := s.Enumerate(ctx, EnumerateRequest{Graph: "fig2", K: 3, TimeoutMillis: -7}); !errors.Is(err, ErrBadRequest) {

@@ -66,7 +66,9 @@ type Config struct {
 	CacheSize int
 	// RequestTimeout bounds how long a request waits for its result
 	// (default 30s). Clients may lower it per request but never raise it
-	// above this ceiling.
+	// above this ceiling: a larger timeout_ms is clamped, not rejected,
+	// and the clamp is counted in AdmissionStats.TimeoutsClamped; a
+	// negative timeout_ms is rejected.
 	RequestTimeout time.Duration
 	// ComputeTimeout bounds one background enumeration (default 5m). It
 	// is deliberately independent of RequestTimeout: a request that gives
@@ -88,10 +90,6 @@ type Config struct {
 	// endpoints build the index of any measure on demand regardless of
 	// this flag — BuildIndex only controls eager kvcc builds.
 	BuildIndex bool
-	// IndexBuildTimeout bounds one hierarchy-index build (default 10m).
-	// It is independent of ComputeTimeout because an index build covers
-	// every level, not one k.
-	IndexBuildTimeout time.Duration
 	// DataDir enables durability: every registered graph gets an on-disk
 	// store (mmap-able CSR snapshot + write-ahead log of edit batches +
 	// persisted hierarchy index) in a subdirectory, and Open recovers the
@@ -136,11 +134,6 @@ type Config struct {
 	// QuotaBurst is the token-bucket burst size (default 2×QuotaRPS+1;
 	// only meaningful with QuotaRPS set).
 	QuotaBurst int
-	// MaxTimeout is the ceiling a client's timeout_ms is clamped to
-	// (default RequestTimeout). Absurd values are clamped, not rejected —
-	// the request proceeds under the ceiling and the clamp is counted in
-	// AdmissionStats.TimeoutsClamped; negative timeout_ms is rejected.
-	MaxTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -152,9 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ComputeTimeout <= 0 {
 		c.ComputeTimeout = 5 * time.Minute
-	}
-	if c.IndexBuildTimeout <= 0 {
-		c.IndexBuildTimeout = 10 * time.Minute
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 32
@@ -176,9 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShedLatency == 0 {
 		c.ShedLatency = c.QueueTimeout / 2
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = c.RequestTimeout
 	}
 	return c
 }
@@ -502,7 +489,7 @@ func (s *Server) lookup(name string) (graphEntry, error) {
 }
 
 // requestContext derives the context that bounds one request's wait: the
-// client's override or the default, never past Config.MaxTimeout. An
+// client's override or the default, never past Config.RequestTimeout. An
 // over-the-ceiling override is clamped (and counted) rather than
 // rejected; a negative one is a malformed request and rejected outright.
 func (s *Server) requestContext(ctx context.Context, timeoutMillis int64) (context.Context, context.CancelFunc, error) {
@@ -512,8 +499,8 @@ func (s *Server) requestContext(ctx context.Context, timeoutMillis int64) (conte
 	timeout := s.cfg.RequestTimeout
 	if timeoutMillis > 0 {
 		timeout = time.Duration(timeoutMillis) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		if timeout > s.cfg.RequestTimeout {
+			timeout = s.cfg.RequestTimeout
 			s.adm.countClamped()
 		}
 	}
