@@ -7,14 +7,15 @@ import (
 	"kvcc/graph"
 )
 
-// findCutBasic on the raw component is the defensive path used if a
-// certificate cut ever failed to disconnect; exercise it directly.
-func TestFindCutRaw(t *testing.T) {
+// findCutBasic run on the component itself, not on its certificate, is
+// the defensive fallback step takes if a certificate cut ever failed to
+// disconnect; exercise it directly.
+func TestFindCutBasicFallback(t *testing.T) {
 	e := &enumerator{k: 3, opts: Options{}}
 	stats := &Stats{}
 	var ws workspace
 
-	// Two K4s sharing two vertices: raw search must find the 2-cut.
+	// Two K4s sharing two vertices: the search must find the 2-cut.
 	var edges [][2]int
 	for _, c := range [][]int{{0, 1, 2, 3}, {2, 3, 4, 5}} {
 		for i := 0; i < len(c); i++ {
@@ -26,20 +27,20 @@ func TestFindCutRaw(t *testing.T) {
 	g := graph.FromEdges(6, edges)
 	cut := e.findCutBasic(g, g, stats, &ws)
 	if len(cut) != 2 {
-		t.Fatalf("raw cut = %v, want size 2", cut)
+		t.Fatalf("fallback cut = %v, want size 2", cut)
 	}
 	avoid := map[int]bool{}
 	for _, v := range cut {
 		avoid[v] = true
 	}
 	if g.ConnectedAvoiding(avoid) {
-		t.Fatalf("raw cut %v does not disconnect", cut)
+		t.Fatalf("fallback cut %v does not disconnect", cut)
 	}
 
 	// A k-connected graph yields no cut.
 	k4 := graph.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
 	if cut := e.findCutBasic(k4, k4, stats, &ws); cut != nil {
-		t.Fatalf("K4 raw cut = %v, want nil at k=3", cut)
+		t.Fatalf("K4 fallback cut = %v, want nil at k=3", cut)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"kvcc/graph"
 	"kvcc/internal/flow"
 	"kvcc/internal/sparse"
@@ -22,9 +24,11 @@ func (e *enumerator) findCut(g *graph.Graph, stats *Stats, ws *workspace) []int 
 // findCutBasic is GLOBAL-CUT (Algorithm 2) on component g with its flow
 // tests run on sc: local connectivity tests from a minimum-degree source
 // against every vertex (phase 1) and between every pair of the source's
-// neighbors (phase 2, Lemma 4). VCCE passes g's sparse certificate as sc;
-// the defensive fallback in step passes g itself, so any cut it finds is
-// a cut of the component by construction.
+// neighbors (phase 2, Lemma 4). It is the paper's baseline: GLOBAL-CUT*
+// replaces its phase 2 with terminal elimination (eliminate), and this
+// all-pairs loop stays as stated. VCCE passes g's sparse certificate as
+// sc; the defensive fallback in step passes g itself, so any cut it finds
+// is a cut of the component by construction.
 func (e *enumerator) findCutBasic(g, sc *graph.Graph, stats *Stats, ws *workspace) []int {
 	nw := flow.NewNetworkScratch(sc, e.k, &ws.flow)
 	defer func() { stats.FlowRuns += nw.FlowRuns }()
@@ -96,11 +100,14 @@ type cutFinder struct {
 	stack  []int // scratch for iterative sweep
 	order  []int // phase-1 vertex ordering
 	counts []int // counting-sort buckets for the ordering
+	excl   []int // phase 2: the removed set R_i
+	need   []int // phase 2: a round's partners that need a flow
 
-	// Neighborhood membership stamps for the SSV pairwise test. Stamps
-	// only ever hold generations already issued, so growing the buffer
-	// within capacity across components is safe: a strictly increasing
-	// counter can never collide with a re-exposed stale stamp.
+	// Neighborhood membership stamps for the SSV pairwise test and the
+	// phase-2 pair rules. Stamps only ever hold generations already issued
+	// (or 0), so growing the buffer within capacity across components is
+	// safe: a strictly increasing counter can never collide with a
+	// re-exposed stale stamp.
 	nbStamp []int64
 	nbGen   int64
 }
@@ -171,9 +178,9 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, cert *sparse.Certificate, 
 		}
 	}
 	if u == -1 {
-		// Minimum degree in the sparse certificate: phase 2 enumerates
-		// pairs of N_SC(u), so the certificate degree is the quantity to
-		// minimize.
+		// Minimum degree in the sparse certificate: phase 2 runs its
+		// rounds over N_SC(u), so the certificate degree is the quantity
+		// to minimize.
 		u, _ = cf.sc.MinDegreeVertex()
 	}
 	cf.sweep(u, causeSeed)
@@ -207,26 +214,76 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, cert *sparse.Certificate, 
 	// Phase 2 (Algorithm 3, lines 16-21): only needed if the source could
 	// itself belong to a cut.
 	if !cf.isSSV(u) {
-		nbrs := cf.sc.Neighbors(u)
-		for i := 0; i < len(nbrs); i++ {
-			for j := i + 1; j < len(nbrs); j++ {
-				va, vb := nbrs[i], nbrs[j]
-				if cf.useGS && cf.groupID[va] >= 0 && cf.groupID[va] == cf.groupID[vb] {
-					stats.Phase2Skipped++ // group sweep rule 3
-					continue
-				}
-				stats.LocCutTests++
-				stats.Phase2Pairs++
-				if cf.g.HasEdge(va, vb) {
-					continue
-				}
-				if cut, _, atLeast := cf.nw.MinVertexCut(va, vb); !atLeast {
-					return cut
-				}
+		return cf.eliminate(u)
+	}
+	return nil
+}
+
+// eliminate is phase 2 of GLOBAL-CUT* by terminal elimination
+// (docs/DESIGN.md, "Phase 2 by terminal elimination"). Phase 1 has passed
+// from u, so every cut of fewer than k vertices contains u, and each side
+// of such a cut holds at least two vertices of T = N_SC(u). Round i tests
+// T[i] against every later T[j] in SC − R_i, R_i = {u, T[0..i−1]}, with
+// flow limit k−1−i. A passing round puts T[i] into every cut, and after
+// round min(|T|−4, k−2) no cut is left. A pair needs no flow when it is
+// adjacent, lies in one side group (group sweep rule 3), or has at least
+// k−1−i common neighbours outside R_i; and the last pair of a round that
+// still needs a flow is left untested, because a side without T[i] would
+// hold two of the round's partners. A failing pair returns its
+// source-closest cut plus R_i, which is the cut the all-pairs loop of
+// Algorithm 3 returns for its first failing pair.
+func (cf *cutFinder) eliminate(u int) []int {
+	t := cf.sc.Neighbors(u)
+	excl := append(cf.excl[:0], u)
+	defer func() { cf.excl = excl }()
+	for i := 0; i <= min(len(t)-4, cf.k-2); i++ {
+		a, limit := t[i], cf.k-1-i
+		cf.nw.Exclude(excl)
+		// Stamp N(a) − R_i: adjacency to a is then one lookup, and the
+		// common-neighbour count one early-exiting scan of N(b).
+		cf.nbGen++
+		gen := cf.nbGen
+		for _, w := range cf.g.Neighbors(a) {
+			cf.nbStamp[w] = gen
+		}
+		for _, r := range excl {
+			cf.nbStamp[r] = 0
+		}
+		need := cf.need[:0]
+		for _, b := range t[i+1:] {
+			if cf.useGS && cf.groupID[a] >= 0 && cf.groupID[a] == cf.groupID[b] {
+				cf.stats.Phase2Skipped++ // group sweep rule 3
+				continue
+			}
+			cf.stats.LocCutTests++
+			cf.stats.Phase2Pairs++
+			if cf.nbStamp[b] != gen && !cf.hasCommon(b, gen, limit) {
+				need = append(need, b)
+			}
+		}
+		cf.need = need
+		for _, b := range need[:max(len(need)-1, 0)] {
+			if cut, _, atLeast := cf.nw.MinVertexCutLimit(a, b, limit); !atLeast {
+				cut = append(cut, excl...)
+				sort.Ints(cut)
+				return cut
+			}
+		}
+		excl = append(excl, a)
+	}
+	return nil
+}
+
+// hasCommon reports whether b has at least c neighbours stamped with gen.
+func (cf *cutFinder) hasCommon(b int, gen int64, c int) bool {
+	for _, w := range cf.g.Neighbors(b) {
+		if cf.nbStamp[w] == gen {
+			if c--; c == 0 {
+				return true
 			}
 		}
 	}
-	return nil
+	return false
 }
 
 // orderByDistance lays out the vertices other than u in non-ascending

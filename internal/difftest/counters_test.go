@@ -35,25 +35,25 @@ var pinnedCounters = []struct {
 	ssv  int64
 }{
 	{"gnp-sparse", core.VCCE, counters{3, 0, 120, 140, 0, 0, 0, 130, 10, 0}, 0},
-	{"gnp-sparse", core.VCCEN, counters{3, 0, 32, 36, 3, 100, 0, 27, 9, 0}, 1},
-	{"gnp-sparse", core.VCCEG, counters{3, 0, 55, 64, 0, 0, 75, 55, 9, 0}, 1},
-	{"gnp-sparse", core.VCCEStar, counters{3, 0, 29, 33, 3, 32, 71, 24, 9, 0}, 1},
+	{"gnp-sparse", core.VCCEN, counters{3, 0, 27, 30, 3, 100, 0, 27, 3, 0}, 1},
+	{"gnp-sparse", core.VCCEG, counters{3, 0, 50, 58, 0, 0, 75, 55, 3, 0}, 1},
+	{"gnp-sparse", core.VCCEStar, counters{3, 0, 24, 27, 3, 32, 71, 24, 3, 0}, 1},
 	{"gnp-dense", core.VCCE, counters{7, 0, 215, 353, 0, 0, 0, 269, 84, 0}, 0},
-	{"gnp-dense", core.VCCEN, counters{7, 0, 84, 118, 31, 200, 0, 38, 80, 0}, 7},
-	{"gnp-dense", core.VCCEG, counters{7, 0, 113, 156, 0, 0, 180, 89, 67, 13}, 2},
-	{"gnp-dense", core.VCCEStar, counters{7, 0, 74, 101, 16, 57, 162, 34, 67, 13}, 2},
+	{"gnp-dense", core.VCCEN, counters{7, 0, 47, 103, 31, 200, 0, 38, 65, 0}, 7},
+	{"gnp-dense", core.VCCEG, counters{7, 0, 80, 150, 0, 0, 180, 89, 61, 4}, 2},
+	{"gnp-dense", core.VCCEStar, counters{7, 0, 41, 95, 16, 57, 162, 34, 61, 4}, 2},
 	{"gnm", core.VCCE, counters{4, 0, 215, 249, 0, 0, 0, 229, 20, 0}, 0},
-	{"gnm", core.VCCEN, counters{4, 0, 48, 54, 4, 190, 0, 35, 19, 0}, 1},
-	{"gnm", core.VCCEG, counters{4, 0, 76, 86, 0, 0, 156, 73, 13, 6}, 1},
-	{"gnm", core.VCCEStar, counters{4, 0, 31, 34, 4, 52, 152, 21, 13, 6}, 1},
+	{"gnm", core.VCCEN, counters{4, 0, 40, 45, 4, 190, 0, 35, 10, 0}, 1},
+	{"gnm", core.VCCEG, counters{4, 0, 70, 80, 0, 0, 156, 73, 7, 3}, 1},
+	{"gnm", core.VCCEStar, counters{4, 0, 25, 28, 4, 52, 152, 21, 7, 3}, 1},
 	{"barabasi-albert", core.VCCE, counters{3, 0, 145, 172, 0, 0, 0, 162, 10, 0}, 0},
 	{"barabasi-albert", core.VCCEN, counters{3, 0, 0, 0, 15, 147, 0, 0, 0, 0}, 8},
 	{"barabasi-albert", core.VCCEG, counters{3, 0, 7, 11, 0, 0, 151, 11, 0, 0}, 3},
 	{"barabasi-albert", core.VCCEStar, counters{3, 0, 0, 0, 12, 5, 145, 0, 0, 0}, 5},
 	{"web-copying", core.VCCE, counters{3, 0, 213, 247, 0, 0, 0, 237, 10, 0}, 0},
-	{"web-copying", core.VCCEN, counters{3, 0, 14, 19, 5, 222, 0, 10, 9, 0}, 2},
-	{"web-copying", core.VCCEG, counters{3, 0, 22, 30, 0, 0, 213, 24, 6, 3}, 1},
-	{"web-copying", core.VCCEStar, counters{3, 0, 7, 11, 4, 18, 210, 5, 6, 3}, 1},
+	{"web-copying", core.VCCEN, counters{3, 0, 10, 13, 5, 222, 0, 10, 3, 0}, 2},
+	{"web-copying", core.VCCEG, counters{3, 0, 20, 25, 0, 0, 213, 24, 1, 2}, 1},
+	{"web-copying", core.VCCEStar, counters{3, 0, 5, 6, 4, 18, 210, 5, 1, 2}, 1},
 	{"planted", core.VCCE, counters{38, 16, 329, 981, 0, 0, 0, 689, 292, 0}, 0},
 	{"planted", core.VCCEN, counters{38, 16, 42, 42, 288, 171, 0, 42, 0, 0}, 81},
 	{"planted", core.VCCEG, counters{38, 16, 106, 229, 0, 0, 272, 229, 0, 0}, 59},
@@ -75,9 +75,9 @@ var pinnedCounters = []struct {
 	{"two-cliques-cut-vertex", core.VCCEG, counters{12, 4, 4, 30, 0, 0, 14, 30, 0, 0}, 16},
 	{"two-cliques-cut-vertex", core.VCCEStar, counters{12, 4, 4, 4, 40, 0, 0, 4, 0, 0}, 17},
 	{"cycle", core.VCCE, counters{1, 0, 28, 30, 0, 0, 0, 29, 1, 0}, 0},
-	{"cycle", core.VCCEN, counters{1, 0, 28, 28, 0, 2, 0, 27, 1, 0}, 0},
-	{"cycle", core.VCCEG, counters{1, 0, 28, 30, 0, 0, 0, 29, 1, 0}, 0},
-	{"cycle", core.VCCEStar, counters{1, 0, 28, 28, 0, 2, 0, 27, 1, 0}, 0},
+	{"cycle", core.VCCEN, counters{1, 0, 27, 27, 0, 2, 0, 27, 0, 0}, 0},
+	{"cycle", core.VCCEG, counters{1, 0, 27, 29, 0, 0, 0, 29, 0, 0}, 0},
+	{"cycle", core.VCCEStar, counters{1, 0, 27, 27, 0, 2, 0, 27, 0, 0}, 0},
 	{"complete-bipartite", core.VCCE, counters{4, 0, 40, 72, 0, 0, 0, 52, 20, 0}, 0},
 	{"complete-bipartite", core.VCCEN, counters{4, 0, 0, 0, 52, 0, 0, 0, 0, 0}, 8},
 	{"complete-bipartite", core.VCCEG, counters{4, 0, 10, 20, 0, 0, 32, 20, 0, 0}, 8},
@@ -87,13 +87,13 @@ var pinnedCounters = []struct {
 	{"barbell", core.VCCEG, counters{11, 1, 1, 43, 0, 0, 18, 43, 0, 0}, 15},
 	{"barbell", core.VCCEStar, counters{11, 1, 1, 1, 60, 0, 0, 1, 0, 0}, 15},
 	{"hypercube", core.VCCE, counters{3, 0, 43, 55, 0, 0, 0, 45, 10, 0}, 0},
-	{"hypercube", core.VCCEN, counters{3, 0, 28, 28, 15, 11, 0, 19, 9, 0}, 7},
-	{"hypercube", core.VCCEG, counters{3, 0, 34, 43, 0, 0, 11, 34, 9, 0}, 3},
-	{"hypercube", core.VCCEStar, counters{3, 0, 28, 28, 13, 11, 2, 19, 9, 0}, 5},
+	{"hypercube", core.VCCEN, counters{3, 0, 21, 22, 15, 11, 0, 19, 3, 0}, 7},
+	{"hypercube", core.VCCEG, counters{3, 0, 27, 37, 0, 0, 11, 34, 3, 0}, 3},
+	{"hypercube", core.VCCEStar, counters{3, 0, 21, 22, 13, 11, 2, 19, 3, 0}, 5},
 	{"wheel", core.VCCE, counters{2, 0, 17, 26, 0, 0, 0, 22, 4, 0}, 0},
-	{"wheel", core.VCCEN, counters{2, 0, 9, 11, 11, 3, 0, 8, 3, 0}, 9},
-	{"wheel", core.VCCEG, counters{2, 0, 9, 15, 0, 0, 10, 12, 3, 0}, 1},
-	{"wheel", core.VCCEStar, counters{2, 0, 9, 11, 3, 3, 8, 8, 3, 0}, 1},
+	{"wheel", core.VCCEN, counters{2, 0, 8, 8, 11, 3, 0, 8, 0, 0}, 9},
+	{"wheel", core.VCCEG, counters{2, 0, 8, 12, 0, 0, 10, 12, 0, 0}, 1},
+	{"wheel", core.VCCEStar, counters{2, 0, 8, 8, 3, 3, 8, 8, 0, 0}, 1},
 	{"grid", core.VCCE, counters{1, 0, 40, 42, 0, 0, 0, 41, 1, 0}, 0},
 	{"grid", core.VCCEN, counters{1, 0, 6, 6, 4, 31, 0, 6, 0, 0}, 2},
 	{"grid", core.VCCEG, counters{1, 0, 15, 16, 0, 0, 25, 16, 0, 0}, 2},
@@ -111,9 +111,9 @@ var pinnedCounters = []struct {
 	{"lollipop", core.VCCEG, counters{6, 0, 0, 27, 0, 0, 15, 27, 0, 0}, 9},
 	{"lollipop", core.VCCEStar, counters{6, 0, 0, 0, 42, 0, 0, 0, 0, 0}, 9},
 	{"harary-expander", core.VCCE, counters{7, 0, 247, 357, 0, 0, 0, 273, 84, 0}, 0},
-	{"harary-expander", core.VCCEN, counters{7, 0, 145, 211, 0, 146, 0, 127, 84, 0}, 0},
-	{"harary-expander", core.VCCEG, counters{7, 0, 160, 252, 0, 0, 105, 168, 84, 0}, 0},
-	{"harary-expander", core.VCCEStar, counters{7, 0, 142, 208, 0, 44, 105, 124, 84, 0}, 0},
+	{"harary-expander", core.VCCEN, counters{7, 0, 132, 192, 0, 146, 0, 127, 65, 0}, 0},
+	{"harary-expander", core.VCCEG, counters{7, 0, 147, 233, 0, 0, 105, 168, 65, 0}, 0},
+	{"harary-expander", core.VCCEStar, counters{7, 0, 129, 189, 0, 44, 105, 124, 65, 0}, 0},
 	{"star-of-cliques", core.VCCE, counters{17, 3, 18, 280, 0, 0, 0, 152, 128, 0}, 0},
 	{"star-of-cliques", core.VCCEN, counters{17, 3, 3, 3, 128, 0, 0, 3, 0, 0}, 17},
 	{"star-of-cliques", core.VCCEG, counters{17, 3, 3, 74, 0, 0, 57, 74, 0, 0}, 23},

@@ -49,6 +49,13 @@
 // (the algorithm only ever asks "is κ(u,v) ≥ k?"), which keeps each test in
 // O(min(n^1/2, k) · m) in the spirit of Even–Tarjan.
 //
+// # Excluded vertices
+//
+// Exclude takes a vertex set R out of every later query, which then runs
+// on G − R (GLOBAL-CUT*'s phase 2 tests pairs in SC − R). Each level
+// generation stamps the split nodes of R before its search starts, so R
+// costs O(|R|) per search and nothing per arc, and no arc array changes.
+//
 // # Zero-reset queries
 //
 // A bounded query pushes at most `bound` units of flow and touches only
@@ -108,6 +115,8 @@ type Network struct {
 
 	queue []int32
 	stack []int32
+
+	exclude []int32 // the vertices of the last Exclude
 
 	// FlowRuns counts the number of max-flow computations executed
 	// (LOC-CUT invocations that were not short-circuited).
@@ -181,6 +190,27 @@ func (nw *Network) touch(v int32) {
 	}
 }
 
+// Exclude takes the vertices vs out of every later query until the next
+// Exclude or NewNetworkScratch: queries then run on G − vs, and their
+// endpoints must not be in vs. bfsLevels stamps the split nodes of vs
+// dead and extractCut stamps them reached, before either search starts,
+// so neither enters them. The network keeps its own copy of vs.
+func (nw *Network) Exclude(vs []int) {
+	nw.exclude = nw.exclude[:0]
+	for _, v := range vs {
+		nw.exclude = append(nw.exclude, int32(v))
+	}
+}
+
+// stampExcluded gives both split nodes of every excluded vertex the packed
+// entry e.
+func (nw *Network) stampExcluded(e uint64) {
+	for _, v := range nw.exclude {
+		nw.level[inNode(int(v))] = e
+		nw.level[outNode(int(v))] = e
+	}
+}
+
 // MinVertexCut returns a minimum u-v vertex cut if κ(u,v) < bound.
 // If u == v, (u,v) is an edge, or κ(u,v) >= bound, it returns
 // (nil, bound, true): the pair cannot be separated by fewer than `bound`
@@ -196,6 +226,11 @@ func (nw *Network) MinVertexCut(u, v int) (cut []int, connectivity int, atLeastB
 // size c can probe further pairs with limit = c and pay nothing for flow
 // beyond a known-worse answer. limit must be in [1, bound], where bound
 // is the early-termination bound the network was built with.
+//
+// Equal and adjacent endpoints, and pairs with κ(u,v) ≥ limit, return
+// (nil, limit, true). The query runs on G minus the vertices of the last
+// Exclude, so κ and the cut are those of G − R; the cut never contains
+// an excluded vertex.
 func (nw *Network) MinVertexCutLimit(u, v, limit int) (cut []int, connectivity int, atLeastLimit bool) {
 	if limit < 1 || limit > nw.bound {
 		panic("flow: limit must be in [1, bound]")
@@ -225,6 +260,7 @@ func (nw *Network) bfsLevels(src, dst int32) bool {
 	// otherwise force a reload of every nw field each iteration.
 	offsets, edges, prev, next, level := nw.offsets, nw.edges, nw.prev, nw.next, nw.level
 	gen := nextGen(&nw.levelGen, level)
+	nw.stampExcluded(pack(gen, deadLevel))
 	level[dst] = pack(gen, 0)
 	queue := append(nw.queue[:0], dst)
 	defer func() { nw.queue = queue }()
@@ -383,6 +419,7 @@ func (nw *Network) extractCut(src int32, size int) []int {
 	}
 	offsets, edges, prev, level := nw.offsets, nw.edges, nw.prev, nw.level
 	seen := pack(nextGen(&nw.levelGen, level), 0)
+	nw.stampExcluded(seen)
 	level[src] = seen
 	queue := append(nw.queue[:0], src)
 	visit := func(to int32) {

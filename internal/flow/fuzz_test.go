@@ -30,64 +30,103 @@ func fuzzGraph(nRaw uint8, bits uint16) *graph.Graph {
 }
 
 // FuzzMinVertexCut checks the zero-reset flow engine on arbitrary small
-// graphs. A pooled network reused across every pair (exercising the
-// undo-log path) must agree with a fresh network per query (exercising a
-// clean build); every pair that reaches the flow must match the
-// brute-force oracle, capped at the bound; and every returned cut must
-// have size equal to the flow value, avoid both endpoints, actually
-// disconnect the pair, and equal the brute-force source-closest minimum
-// cut. That last check is what makes the cut independent of the order in
-// which augmenting paths are found. A query that reaches the bound must
-// leave a flow that checkFlowPaths decomposes along next.
+// graphs with an excluded vertex set R drawn from exRaw (Network.Exclude).
+// A pooled network, warmed by a query on all of G and reused across every
+// pair (exercising the undo-log path), must agree with a fresh network per
+// query (exercising a clean build). Every pair outside R that reaches the
+// flow must match the brute-force oracle on the explicitly induced G − R,
+// capped at a per-pair limit in [1, bound]; and every returned cut must
+// have size equal to the flow value, avoid both endpoints and R, actually
+// disconnect the pair in G − R, and equal the brute-force source-closest
+// minimum cut there. That last check is what makes the cut independent of
+// the order in which augmenting paths are found. A query that reaches its
+// limit must leave a flow that checkFlowPaths decomposes along next, with
+// no flow through R.
 func FuzzMinVertexCut(f *testing.F) {
-	f.Add(uint8(6), uint16(0xffff), uint8(3))
-	f.Add(uint8(9), uint16(0x1234), uint8(2))
-	f.Add(uint8(12), uint16(0xbeef), uint8(7))
-	f.Fuzz(func(t *testing.T, nRaw uint8, bits uint16, boundRaw uint8) {
+	f.Add(uint8(6), uint16(0xffff), uint8(3), uint16(0))
+	f.Add(uint8(9), uint16(0x1234), uint8(2), uint16(0))
+	f.Add(uint8(12), uint16(0xbeef), uint8(7), uint16(0))
+	f.Add(uint8(7), uint16(0xffff), uint8(9), uint16(0x0005))
+	f.Add(uint8(12), uint16(0xbeef), uint8(7), uint16(0x0102))
+	f.Fuzz(func(t *testing.T, nRaw uint8, bits uint16, boundRaw uint8, exRaw uint16) {
 		g := fuzzGraph(nRaw, bits)
 		n := g.NumVertices()
 		bound := 1 + int(boundRaw)%n
 
+		// R takes the vertices of exRaw's low n bits; keep lists the rest
+		// in ascending order, so vertex i of h = G − R is keep[i].
+		var excl, keep []int
+		for v := 0; v < n; v++ {
+			if exRaw>>v&1 == 1 {
+				excl = append(excl, v)
+			} else {
+				keep = append(keep, v)
+			}
+		}
+		h := g.InducedSubgraph(keep)
+		inH := func(cut []int) []int {
+			out := []int{}
+			for _, w := range cut {
+				i, ok := slices.BinarySearch(keep, w)
+				if !ok {
+					t.Fatalf("cut %v contains excluded vertex %d (R = %v)", cut, w, excl)
+				}
+				out = append(out, i)
+			}
+			return out
+		}
+
 		pooled := NewNetwork(g, bound)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				cut, c, atLeast := pooled.MinVertexCut(u, v)
+		pooled.MinVertexCut(0, n-1)
+		pooled.Exclude(excl)
+		for ui, u := range keep {
+			for vi := ui + 1; vi < len(keep); vi++ {
+				v := keep[vi]
+				limit := 1 + (u+v+int(boundRaw))%bound
+				cut, c, atLeast := pooled.MinVertexCutLimit(u, v, limit)
 				fresh := NewNetwork(g, bound)
-				_, cF, atLeastF := fresh.MinVertexCut(u, v)
+				fresh.Exclude(excl)
+				_, cF, atLeastF := fresh.MinVertexCutLimit(u, v, limit)
 				if c != cF || atLeast != atLeastF {
-					t.Fatalf("(%d,%d): pooled (%d,%v) vs fresh (%d,%v)", u, v, c, atLeast, cF, atLeastF)
+					t.Fatalf("(%d,%d) R=%v: pooled (%d,%v) vs fresh (%d,%v)", u, v, excl, c, atLeast, cF, atLeastF)
 				}
 				if !g.HasEdge(u, v) {
-					want := verify.LocalConnectivityBrute(g, u, v)
-					if want >= bound {
-						if !atLeast || c != bound {
-							t.Fatalf("(%d,%d): got (%d,%v), brute κ = %d >= bound %d", u, v, c, atLeast, want, bound)
+					want := verify.LocalConnectivityBrute(h, ui, vi)
+					if want >= limit {
+						if !atLeast || c != limit {
+							t.Fatalf("(%d,%d) R=%v: got (%d,%v), brute κ = %d >= limit %d", u, v, excl, c, atLeast, want, limit)
 						}
 					} else if atLeast || c != want {
-						t.Fatalf("(%d,%d): got (%d,%v), brute κ = %d", u, v, c, atLeast, want)
+						t.Fatalf("(%d,%d) R=%v: got (%d,%v), brute κ = %d", u, v, excl, c, atLeast, want)
 					}
 				}
 				if atLeast {
 					if !g.HasEdge(u, v) {
-						checkFlowPaths(t, pooled, u, v, bound)
+						checkFlowPaths(t, pooled, u, v, limit)
+						for _, r := range excl {
+							if pooled.prev[r] >= 0 {
+								t.Fatalf("(%d,%d): excluded vertex %d carries flow", u, v, r)
+							}
+						}
 					}
 					continue
 				}
 				if len(cut) != c {
-					t.Fatalf("(%d,%d): cut %v size != κ %d", u, v, cut, c)
+					t.Fatalf("(%d,%d) R=%v: cut %v size != κ %d", u, v, excl, cut, c)
 				}
+				hcut := inH(cut)
 				avoid := map[int]bool{}
-				for _, w := range cut {
-					if w == u || w == v {
+				for _, w := range hcut {
+					if w == ui || w == vi {
 						t.Fatalf("(%d,%d): cut %v contains an endpoint", u, v, cut)
 					}
 					avoid[w] = true
 				}
-				if sameComp(g, u, v, avoid) {
-					t.Fatalf("(%d,%d): cut %v does not separate", u, v, cut)
+				if sameComp(h, ui, vi, avoid) {
+					t.Fatalf("(%d,%d) R=%v: cut %v does not separate", u, v, excl, cut)
 				}
-				if want := sourceClosestMinCut(g, u, v, c); !slices.Equal(cut, want) {
-					t.Fatalf("(%d,%d): cut %v, source-closest minimum cut %v", u, v, cut, want)
+				if want := sourceClosestMinCut(h, ui, vi, c); !slices.Equal(hcut, want) {
+					t.Fatalf("(%d,%d) R=%v: cut %v, source-closest minimum cut %v (in G − R)", u, v, excl, hcut, want)
 				}
 			}
 		}

@@ -164,6 +164,21 @@ func TestMinVertexCutZeroAllocsSteadyState(t *testing.T) {
 		t.Fatalf("warm MinVertexCut allocated %.1f times per run, want 0", allocs)
 	}
 
+	// The same holds with an exclusion set, re-applied every run: Exclude
+	// copies into a buffer the network keeps.
+	excl := []int{10, 20, 30, 40}
+	nw.Exclude(excl)
+	nw.MinVertexCut(3, 97) // warm
+	allocs = testing.AllocsPerRun(200, func() {
+		nw.Exclude(excl)
+		if _, _, atLeast := nw.MinVertexCut(3, 97); !atLeast {
+			t.Fatal("expected atLeastBound pair in G − R")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm MinVertexCut with an exclusion set allocated %.1f times per run, want 0", allocs)
+	}
+
 	// A cut-returning query may allocate only the cut it hands back.
 	cycle8 := cycle(8)
 	nwc := NewNetworkScratch(cycle8, 7, &s)
