@@ -97,9 +97,9 @@ type Options struct {
 	// kvcc.BuildHierarchy and the server's index builds do.
 	Algorithm core.Algorithm
 	// Parallelism enumerates sibling components of one level with this
-	// many workers (values below 2 select the deterministic serial loop;
-	// the result is identical either way because siblings are
-	// independent subproblems and each level is re-canonicalized).
+	// many workers (values below 1 mean one). The result does not depend
+	// on it because siblings are independent subproblems and each level
+	// is re-canonicalized.
 	Parallelism int
 }
 
@@ -149,7 +149,7 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts Options) (*Tree, err
 }
 
 // buildLevel enumerates the level-k components of the chosen measure
-// inside every frontier component, optionally in parallel across siblings,
+// inside every frontier component, with up to workers siblings at a time,
 // and returns the new level in canonical order with parent/child links
 // installed.
 func buildLevel(ctx context.Context, frontier []*Node, k int, m cohesion.Measure, coreOpts core.Options, workers int) ([]*Node, LevelStats, error) {
@@ -161,45 +161,30 @@ func buildLevel(ctx context.Context, frontier []*Node, k int, m cohesion.Measure
 	}
 	results := make([]result, len(frontier))
 
-	if workers >= 2 && len(frontier) > 1 {
-		if workers > len(frontier) {
-			workers = len(frontier)
-		}
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					comps, st, err := cohesion.EnumerateContext(ctx, frontier[i].Component, k, m, coreOpts)
-					results[i] = result{comps, st, err}
-				}
-			}()
-		}
-		for i := range frontier {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	} else {
-		for i, parent := range frontier {
-			comps, st, err := cohesion.EnumerateContext(ctx, parent.Component, k, m, coreOpts)
-			results[i] = result{comps, st, err}
-			if err != nil {
-				break
+	workers = min(max(workers, 1), len(frontier))
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				comps, st, err := cohesion.EnumerateContext(ctx, frontier[i].Component, k, m, coreOpts)
+				results[i] = result{comps, st, err}
 			}
-		}
+		}()
 	}
+	for i := range frontier {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
 
 	var level []*Node
 	for i, parent := range frontier {
 		r := results[i]
 		if r.err != nil {
 			return nil, lvl, r.err
-		}
-		if r.stats == nil {
-			continue // serial loop stopped early on a prior error
 		}
 		lvl.EnumeratedVertices += int64(parent.Component.NumVertices())
 		lvl.Core.Add(r.stats)

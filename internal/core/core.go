@@ -70,8 +70,8 @@ type Options struct {
 	// kvcc.Enumerate defaults to VCCEStar.
 	Algorithm Algorithm
 	// Parallelism is the number of workers processing independent
-	// partitioned subgraphs. Values below 2 select the deterministic
-	// serial loop.
+	// partitioned subgraphs. Values below 1 mean one worker, which
+	// processes them in a fixed order, so its Stats are deterministic.
 	Parallelism int
 }
 
@@ -204,19 +204,14 @@ func EnumerateComponentsContext(ctx context.Context, comps []*graph.Graph, k int
 		}
 	}
 	if len(comps) == 0 {
-		// Nothing to do — and the parallel driver must not start: with an
+		// Nothing to do — and the worker pool must not start: with an
 		// empty seed the task queue would never close and the workers
 		// would block in pop() forever.
 		return nil, &Stats{}, ctx.Err()
 	}
 	e := &enumerator{k: k, opts: opts, ctx: ctx}
-	var results []*graph.Graph
 	stats := &Stats{}
-	if opts.Parallelism >= 2 {
-		results = e.runParallel(comps, stats)
-	} else {
-		results = e.runSerial(comps, stats)
-	}
+	results := e.run(comps, stats)
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
 	}
@@ -234,9 +229,8 @@ type enumerator struct {
 // recursion: the graph renumbering scratch (subgraph extraction, k-core
 // peeling, BFS ordering), the pooled flow network, the sparse-certificate
 // buffers, and the reusable per-component cut-finder state. One workspace
-// serves a whole driver (or one worker of the parallel pool), so the
-// steady-state recursion allocates only what it returns: result
-// subgraphs, certificates and cuts.
+// serves one worker of the enumeration pool, so the steady-state recursion
+// allocates only what it returns: result subgraphs, certificates and cuts.
 type workspace struct {
 	graph  graph.Scratch
 	flow   flow.Scratch
@@ -244,72 +238,39 @@ type workspace struct {
 	cf     cutFinder
 }
 
-// runSerial is the deterministic single-threaded driver.
-func (e *enumerator) runSerial(seed []*graph.Graph, stats *Stats) []*graph.Graph {
-	var results []*graph.Graph
-	var ws workspace
-	// The queue pops LIFO, so load the seeds reversed: batch members are
-	// then processed in their given (ascending component) order, which on
-	// a mapped snapshot keeps the first pass over each component moving
-	// forward through the edges array instead of starting from the back.
-	queue := make([]*graph.Graph, len(seed))
-	for i, g := range seed {
-		queue[len(seed)-1-i] = g
-	}
-	var liveBytes, resultBytes int64
-	for _, g := range seed {
-		liveBytes += g.Bytes()
-	}
-	for len(queue) > 0 {
-		if e.ctx.Err() != nil {
-			return nil
-		}
-		g := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		liveBytes -= g.Bytes()
-		children, vccs := e.step(g, stats, &ws)
-		for _, c := range children {
-			liveBytes += c.Bytes()
-		}
-		for _, v := range vccs {
-			resultBytes += v.Bytes()
-		}
-		if liveBytes+resultBytes > stats.PeakBytes {
-			stats.PeakBytes = liveBytes + resultBytes
-		}
-		queue = append(queue, children...)
-		results = append(results, vccs...)
-	}
-	return results
-}
-
-// runParallel processes independent subgraphs with a worker pool. The
-// result set is identical to the serial driver; only discovery order
-// differs (and is then canonicalized). Live/result byte tracking mirrors
-// runSerial but uses atomics: each worker settles its task's byte delta
-// and races the observed total against the shared peak, so parallel runs
-// report a PeakBytes comparable to (not byte-equal with) the serial one.
-func (e *enumerator) runParallel(seed []*graph.Graph, stats *Stats) []*graph.Graph {
+// run processes the queued subgraphs with max(1, Parallelism) workers
+// sharing one LIFO task queue. The result set does not depend on the
+// worker count; only discovery order differs (and is then canonicalized).
+// With one worker the order is fixed, so every Stats field, PeakBytes
+// included, is deterministic. Each worker settles its task's live/result
+// byte delta and races the observed total against the shared peak, so
+// several workers report a PeakBytes comparable to (not byte-equal with)
+// one worker's.
+func (e *enumerator) run(seed []*graph.Graph, stats *Stats) []*graph.Graph {
 	var (
 		mu      sync.Mutex
 		results []*graph.Graph
 
 		liveBytes, resultBytes, peakBytes atomic.Int64
 	)
-	// Mirror runSerial: the input starts as live bytes, and the peak is
-	// observed at task settlement points only, so a run that peels
-	// everything in one step reports 0 in both drivers.
+	// The input starts as live bytes, and the peak is observed at task
+	// settlement points only, so a run that peels everything in one step
+	// reports 0.
 	var seedBytes int64
 	for _, g := range seed {
 		seedBytes += g.Bytes()
 	}
 	liveBytes.Store(seedBytes)
+	// The queue pops LIFO, so push the seeds reversed: batch members are
+	// then started in their given (ascending component) order, which on a
+	// mapped snapshot keeps the first pass over each component moving
+	// forward through the edges array instead of starting from the back.
 	q := newTaskQueue()
-	for _, g := range seed {
-		q.push(g)
+	for i := len(seed) - 1; i >= 0; i-- {
+		q.push(seed[i])
 	}
 	var workers sync.WaitGroup
-	for w := 0; w < e.opts.Parallelism; w++ {
+	for w := 0; w < max(1, e.opts.Parallelism); w++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()

@@ -6,7 +6,7 @@ import (
 	"kvcc/graph"
 )
 
-// taskQueue is the shared work frontier of the parallel driver: an
+// taskQueue is the shared work frontier of the enumeration pool: an
 // unbounded mutex-guarded deque. The previous implementation was a
 // channel of capacity NumVertices()+4, allocated up front — O(n) memory
 // per Enumerate call on multi-million-vertex graphs. The deque instead
@@ -41,8 +41,7 @@ func (q *taskQueue) push(g *graph.Graph) {
 // pop dequeues a task, blocking while the queue is empty but tasks are
 // still in flight (an in-flight task may push children). ok = false
 // means every pushed task has been finished and the queue is closed for
-// good. LIFO order keeps the frontier depth-first and therefore narrow,
-// mirroring the serial driver's stack.
+// good. LIFO order keeps the frontier depth-first and therefore narrow.
 func (q *taskQueue) pop() (g *graph.Graph, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -62,8 +62,9 @@ func WithAlgorithm(a Algorithm) Option {
 }
 
 // WithParallelism processes independent partitioned subgraphs with the
-// given number of workers (default 1: deterministic serial execution; the
-// result set is identical either way).
+// given number of workers (default 1; values below 1 also mean one worker,
+// which runs in a fixed order, so its Stats are deterministic). The result
+// set is the same for every worker count.
 func WithParallelism(workers int) Option {
 	return func(o *core.Options) { o.Parallelism = workers }
 }

@@ -272,9 +272,10 @@ type EditsRequest struct {
 // size, how many edits took effect (NoopEdits were already present /
 // already absent), the highest connectivity level the batch may have
 // changed, and what happened to the derived state — cache entries at
-// unaffected k kept serving, affected entries were invalidated (and seed
-// the next incremental enumeration), and the hierarchy index repair was
-// scheduled, dropped, or not needed.
+// unaffected k kept serving, affected entries were invalidated (a k-VCC
+// one stays cached as a stale entry that seeds the next incremental
+// enumeration), and the hierarchy index repair was scheduled, dropped, or
+// not needed.
 type EditsResponse struct {
 	Graph            string `json:"graph"`
 	Version          uint64 `json:"version"`
@@ -413,10 +414,10 @@ type EnumStats struct {
 	IndexServed int64 `json:"index_served"`
 	// Edits counts effective edit batches applied to registered graphs.
 	Edits int64 `json:"edits,omitempty"`
-	// IncrementalRuns counts enumerations that started from an
-	// incremental seed left by an edit batch; ComponentsReused totals the
-	// k-core components those runs served verbatim from the seed instead
-	// of recomputing.
+	// IncrementalRuns counts enumerations that started from a stale cache
+	// entry left by an edit batch; ComponentsReused totals the k-core
+	// components those runs served verbatim from it instead of
+	// recomputing.
 	IncrementalRuns  int64 `json:"incremental_runs,omitempty"`
 	ComponentsReused int64 `json:"components_reused,omitempty"`
 	// TotalMS and MaxMS aggregate the wall-clock latency of completed

@@ -13,10 +13,11 @@ import (
 // parameter, and the algorithm variant. Two requests with the same key are
 // guaranteed the same result because every loaded graph is immutable and
 // all four variants are exact (they differ only in pruning). The
-// generation ties the key to one AddGraph call, so an enumeration still in
-// flight when its graph is replaced can never serve (or cache) results
-// under the new graph's name. The measure's zero value is cohesion.KVCC,
-// so every key minted before the measure field existed keeps its identity.
+// generation ties the key to one AddGraph or Edits call, so an enumeration
+// still in flight when its graph is replaced can never serve (or cache)
+// results under the new graph's name. The measure's zero value is
+// cohesion.KVCC, so every key minted before the measure field existed
+// keeps its identity.
 type cacheKey struct {
 	graph   string
 	gen     uint64
@@ -25,21 +26,37 @@ type cacheKey struct {
 	algo    kvcc.Algorithm
 }
 
-// resultCache is a thread-safe LRU cache of enumeration results. Entries
-// are counted, not sized: a *kvcc.Result shares subgraph storage with the
-// enumeration that produced it, so entry count is the knob the operator
-// reasons about.
+// slot returns the key with its generation cleared: the one cache slot
+// its query owns at every generation.
+func (k cacheKey) slot() cacheKey {
+	k.gen = 0
+	return k
+}
+
+// resultCache is a thread-safe LRU cache of enumeration results with one
+// slot per (graph, measure, k, algorithm). A slot's entry carries the
+// generation it was computed on: it is current while that generation is
+// the graph's, and stale once an edit batch that affected its k has
+// installed a newer one. Only kvcc entries are kept stale (see migrate);
+// a stale entry never answers get, but it seeds the next incremental
+// enumeration of its query and is the degraded answer when fresh compute
+// cannot run. Entries are counted, not sized: a *kvcc.Result shares
+// subgraph storage with the enumeration that produced it, so entry count
+// is the knob the operator reasons about. Current and stale entries share
+// the one capacity.
 type resultCache struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List // front = most recently used
-	entries  map[cacheKey]*list.Element
+	ll       *list.List                 // front = most recently used
+	entries  map[cacheKey]*list.Element // keyed by cacheKey.slot()
 
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
+// cacheEntry is one slot's content; key.gen is the generation res was
+// computed on.
 type cacheEntry struct {
 	key cacheKey
 	res *kvcc.Result
@@ -56,19 +73,29 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
+// current returns key's result if its slot holds key's generation,
+// promoting it to most recently used. Callers hold c.mu.
+func (c *resultCache) current(key cacheKey) (*kvcc.Result, bool) {
+	el, ok := c.entries[key.slot()]
+	if !ok || el.Value.(*cacheEntry).key.gen != key.gen {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*cacheEntry).res, true
+}
+
 // get returns the cached result for key, promoting it to most recently
-// used, and records a hit or miss.
+// used, and records a hit or miss. A stale entry is a miss.
 func (c *resultCache) get(key cacheKey) (*kvcc.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	res, ok := c.current(key)
+	if ok {
+		c.hits++
+	} else {
 		c.misses++
-		return nil, false
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return res, ok
 }
 
 // getIfPresent returns the cached result, promoting it and counting a hit
@@ -80,107 +107,98 @@ func (c *resultCache) get(key cacheKey) (*kvcc.Result, bool) {
 func (c *resultCache) getIfPresent(key cacheKey) (*kvcc.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
+	res, ok := c.current(key)
+	if ok {
+		c.hits++
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return res, ok
 }
 
-// put inserts or refreshes key, evicting the least recently used entry
-// when over capacity.
+// stale returns the result in key's slot when it was computed on an
+// older generation than key's, without promoting or counting it.
+func (c *resultCache) stale(key cacheKey) *kvcc.Result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key.slot()]; ok && el.Value.(*cacheEntry).key.gen < key.gen {
+		return el.Value.(*cacheEntry).res
+	}
+	return nil
+}
+
+// put stores res in key's slot, replacing an entry of key's or an older
+// generation but never a newer one (a leader pinned to a retired
+// generation must not overwrite the current result), and evicts the least
+// recently used entry when over capacity.
 func (c *resultCache) put(key cacheKey, res *kvcc.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
+	if el, ok := c.entries[key.slot()]; ok {
+		entry := el.Value.(*cacheEntry)
+		if entry.key.gen > key.gen {
+			return
+		}
+		entry.key, entry.res = key, res
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.entries[key.slot()] = c.ll.PushFront(&cacheEntry{key: key, res: res})
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		delete(c.entries, oldest.Value.(*cacheEntry).key.slot())
 		c.evictions++
 	}
 }
 
-// droppedEntry is one cache entry removed by migrate, returned to the
-// caller so the result can seed an incremental recomputation.
-type droppedEntry struct {
-	key cacheKey
-	res *kvcc.Result
-}
-
-// migrate re-keys the named graph's entries from oldGen to newGen,
-// dropping the ones whose k the affected predicate flags (and any stray
-// entries from even older generations). It returns the number of entries
-// kept and the dropped entries with their results. This is the
-// version-scoped invalidation behind Edits: an entry at an unaffected k
-// is provably identical on the new snapshot, so it keeps serving — with
-// its LRU position intact — while affected entries leave and seed the
-// incremental path.
-func (c *resultCache) migrate(name string, oldGen, newGen uint64, affected func(k int) bool) (kept int, dropped []droppedEntry) {
+// migrate moves the named graph's cache from oldGen to newGen in place.
+// An entry of oldGen at a k the affected predicate does not flag is
+// provably identical on the new snapshot, so it is re-stamped with newGen
+// and keeps serving with its LRU position intact (kept). An affected one
+// (invalidated) goes stale: a kvcc entry stays in its slot to seed the
+// incremental path, an entry of another measure is removed — as is any
+// older non-kvcc entry. Entries newer than oldGen were computed on the
+// just-installed snapshot (a fast flight leader can beat this migration)
+// and are already current. This is the version-scoped invalidation behind
+// Edits.
+func (c *resultCache) migrate(name string, oldGen, newGen uint64, affected func(k int) bool) (kept, invalidated int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	type move struct {
-		el  *list.Element
-		old cacheKey
-	}
-	var moves []move
-	for key, el := range c.entries {
-		if key.graph != name || key.gen > oldGen {
-			// Entries newer than the migrated generation were computed on
-			// the just-installed snapshot (a fast flight leader can beat
-			// this migration); they are already current.
-			continue
-		}
-		if key.gen == oldGen && !affected(key.k) {
-			moves = append(moves, move{el: el, old: key})
-			continue
-		}
+	for slot, el := range c.entries {
 		entry := el.Value.(*cacheEntry)
-		if key.gen == oldGen {
-			dropped = append(dropped, droppedEntry{key: key, res: entry.res})
-		}
-		c.ll.Remove(el)
-		delete(c.entries, key)
-	}
-	for _, m := range moves {
-		entry := m.el.Value.(*cacheEntry)
-		delete(c.entries, m.old)
-		entry.key.gen = newGen
-		if _, occupied := c.entries[entry.key]; occupied {
-			// A fast flight leader already cached a fresh result under the
-			// new generation; keep it and retire the old element (an
-			// overwrite would orphan the leader's list element, and its
-			// eventual eviction would delete the live map entry).
-			c.ll.Remove(m.el)
+		if slot.graph != name || entry.key.gen > oldGen {
 			continue
 		}
-		c.entries[entry.key] = m.el
-		kept++
+		if entry.key.gen == oldGen {
+			if !affected(slot.k) {
+				entry.key.gen = newGen
+				kept++
+				continue
+			}
+			invalidated++
+		}
+		if slot.measure != kvcc.MeasureKVCC {
+			c.ll.Remove(el)
+			delete(c.entries, slot)
+		}
 	}
-	return kept, dropped
+	return kept, invalidated
 }
 
-// invalidateGraph drops every entry computed on the named graph. Called
-// when a graph is replaced at runtime.
+// invalidateGraph drops every entry computed on the named graph, stale
+// ones included. Called when a graph is replaced or removed at runtime.
 func (c *resultCache) invalidateGraph(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, el := range c.entries {
-		if key.graph == name {
+	for slot, el := range c.entries {
+		if slot.graph == name {
 			c.ll.Remove(el)
-			delete(c.entries, key)
+			delete(c.entries, slot)
 		}
 	}
 }
 
-// CacheStats is a point-in-time snapshot of the cache counters.
+// CacheStats is a point-in-time snapshot of the cache counters. Size
+// counts current and stale entries alike.
 type CacheStats struct {
 	Size      int   `json:"size"`
 	Capacity  int   `json:"capacity"`

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"kvcc"
 	"kvcc/graph"
 	"kvcc/internal/kcore"
 	"kvcc/store"
@@ -28,11 +27,11 @@ const maxEditBatch = 65536
 //     diff (a level k can only change if the edit touched the k-core
 //     subgraph: every k-VCC lives inside it, so an edit outside changes
 //     nothing at that k);
-//   - cached results at unaffected k migrate to the new generation and
-//     keep serving without recomputation; affected entries are dropped,
-//     and each dropped Result is retained as a one-shot incremental seed
-//     so the next enumeration at that k recomputes only the k-core
-//     components the edits touched;
+//   - cached results at unaffected k move to the new generation and keep
+//     serving without recomputation; an affected kvcc result stays in its
+//     cache slot as a stale entry, which seeds the next enumeration at
+//     that k so it recomputes only the k-core components the edits
+//     touched (affected results of other measures are dropped);
 //   - the hierarchy index (which spans every level) is retired, and —
 //     when the server builds indexes — a background repair build of the
 //     new snapshot is scheduled immediately.
@@ -185,17 +184,9 @@ func (s *Server) Edits(ctx context.Context, req EditsRequest) (*EditsResponse, e
 	s.mu.Unlock()
 
 	// Version-scoped cache invalidation: unaffected (graph, k) entries
-	// migrate to the new generation; affected ones are dropped but seed
-	// the next (incremental) enumeration at their k.
-	kept, dropped := s.cache.migrate(req.Graph, entry.gen, newEntry.gen, aff.affected)
-	for _, d := range dropped {
-		// Only kvcc results can seed the incremental path; dropped entries
-		// of the other measures are simply recomputed from scratch.
-		if d.key.measure != kvcc.MeasureKVCC {
-			continue
-		}
-		s.putSeed(prevKey{graph: d.key.graph, k: d.key.k, algo: d.key.algo}, d.res)
-	}
+	// move to the new generation; affected kvcc entries stay as stale
+	// entries that seed the next (incremental) enumeration at their k.
+	kept, invalidated := s.cache.migrate(req.Graph, entry.gen, newEntry.gen, aff.affected)
 
 	// The hierarchy index spans every level, and an effective edit always
 	// touches level 1, so the old index is retired unconditionally; with
@@ -225,7 +216,7 @@ func (s *Server) Edits(ctx context.Context, req EditsRequest) (*EditsResponse, e
 	resp.Edges = g2.NumEdges()
 	resp.AffectedMaxK = aff.maxLevel()
 	resp.CacheKept = kept
-	resp.CacheInvalidated = len(dropped)
+	resp.CacheInvalidated = invalidated
 	resp.ElapsedMS = float64(time.Since(begin)) / float64(time.Millisecond)
 	if req.IdempotencyKey != "" {
 		s.storeIdem(req.Graph, req.IdempotencyKey, resp)

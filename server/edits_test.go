@@ -89,6 +89,78 @@ func TestEditsVersionScopedInvalidation(t *testing.T) {
 	}
 }
 
+// TestEditsWhileLeaderHeld: a flight leader that read a stale entry as
+// its seed is still computing when an edit batch retires its generation.
+// The late leader must neither cache its result nor disturb the entry the
+// migration kept, and the first enumeration on the new generation must
+// still run incrementally from the stale entry.
+func TestEditsWhileLeaderHeld(t *testing.T) {
+	s := New(Config{})
+	s.AddGraph("g", cliqueAndCycle())
+	ctx := context.Background()
+	for _, k := range []int{2, 4} {
+		if _, err := s.Enumerate(ctx, EnumerateRequest{Graph: "g", K: k}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Break the cycle: the k=2 entry goes stale, the k=4 entry is kept.
+	if _, err := s.Edits(ctx, EditsRequest{Graph: "g", Deletes: [][2]int64{{10, 11}}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold the first leader on the new generation at k=2.
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	testHookEnumerateStarted = func() { once.Do(func() { close(started); <-release }) }
+	t.Cleanup(func() { testHookEnumerateStarted = nil })
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Enumerate(ctx, EnumerateRequest{Graph: "g", K: 2})
+		done <- err
+	}()
+	select {
+	case <-started:
+	case err := <-done:
+		t.Fatalf("k=2 on the new generation returned without enumerating (err %v)", err)
+	}
+
+	// A batch far from every k-core (k <= 1) retires the leader's generation.
+	resp, err := s.Edits(ctx, EditsRequest{Graph: "g", Inserts: [][2]int64{{20, 21}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.CacheKept != 1 || resp.CacheInvalidated != 0 {
+		t.Fatalf("cache kept/invalidated = %d/%d, want 1/0", resp.CacheKept, resp.CacheInvalidated)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Enumerations.IncrementalRuns != 0 {
+		t.Fatalf("the retired leader counted %d incremental runs", st.Enumerations.IncrementalRuns)
+	}
+
+	k4, err := s.Enumerate(ctx, EnumerateRequest{Graph: "g", K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !k4.Cached {
+		t.Fatal("the kept k=4 entry is no longer served from cache")
+	}
+	k2, err := s.Enumerate(ctx, EnumerateRequest{Graph: "g", K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k2.Cached || len(k2.Components) != 1 {
+		t.Fatalf("k=2: cached=%v with %d components, want a fresh single clique", k2.Cached, len(k2.Components))
+	}
+	st := s.Stats()
+	if st.Enumerations.IncrementalRuns != 1 || st.Enumerations.ComponentsReused != 1 {
+		t.Fatalf("incremental stats = %d runs / %d reused, want 1/1",
+			st.Enumerations.IncrementalRuns, st.Enumerations.ComponentsReused)
+	}
+}
+
 func TestEditsNoopBatch(t *testing.T) {
 	s := New(Config{})
 	s.AddGraph("g", cliqueAndCycle())

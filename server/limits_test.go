@@ -10,49 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"kvcc"
 )
-
-// TestSeedEvictionOrder: the seed table evicts strictly least-recently
-// stored, and re-storing an existing key refreshes its recency.
-func TestSeedEvictionOrder(t *testing.T) {
-	s := New(Config{CacheSize: 3})
-	key := func(k int) prevKey { return prevKey{graph: "g", k: k, algo: kvcc.VCCE} }
-	res := func() *kvcc.Result { return &kvcc.Result{} }
-
-	a, b, c, d := res(), res(), res(), res()
-	s.putSeed(key(2), a)
-	s.putSeed(key(3), b)
-	s.putSeed(key(4), c)
-	s.putSeed(key(2), a) // refresh A: B is now the oldest
-	s.putSeed(key(5), d) // over capacity: exactly one eviction
-
-	if got := s.peekSeed(key(3)); got != nil {
-		t.Fatal("B was refreshed-over yet survived; eviction is not LRU")
-	}
-	for _, tc := range []struct {
-		k    int
-		want *kvcc.Result
-	}{{2, a}, {4, c}, {5, d}} {
-		if got := s.peekSeed(key(tc.k)); got != tc.want {
-			t.Fatalf("seed k=%d: got %p, want %p", tc.k, got, tc.want)
-		}
-	}
-
-	// consumeSeed only removes the exact peeked value; a newer seed for
-	// the same key survives a stale consume.
-	newer := res()
-	s.putSeed(key(2), newer)
-	s.consumeSeed(key(2), a) // stale: a was replaced
-	if got := s.peekSeed(key(2)); got != newer {
-		t.Fatal("stale consume removed a newer seed")
-	}
-	s.consumeSeed(key(2), newer)
-	if got := s.peekSeed(key(2)); got != nil {
-		t.Fatal("consume of the current seed left it in place")
-	}
-}
 
 // TestClientCancelStatusAndStats: a caller hanging up mid-enumeration is
 // not a server fault — it maps to 499 on the wire and stays out of the

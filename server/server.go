@@ -2,11 +2,12 @@
 // long-running query service. A Server holds a registry of named,
 // versioned graphs (each an immutable snapshot fronted by a mutation
 // overlay), a per-graph hierarchy index (the full k-VCC cohesion tree,
-// built in the background), an LRU cache of enumeration results keyed by
-// (graph, generation, measure, k, algorithm), and a singleflight layer that
-// collapses concurrent identical requests into one computation. On top of
-// that it exposes an HTTP/JSON API (see Handler) with per-request
-// timeouts; the Client type in this package speaks the same wire format.
+// built in the background), an LRU cache of enumeration results with one
+// slot per (graph, measure, k, algorithm) whose entry carries the graph
+// generation it was computed on, and a singleflight layer that collapses
+// concurrent identical requests into one computation. On top of that it
+// exposes an HTTP/JSON API (see Handler) with per-request timeouts; the
+// Client type in this package speaks the same wire format.
 //
 // Requests descend a serving ladder: a ready hierarchy index answers any
 // covered k instantly; otherwise the cache answers repeats; otherwise one
@@ -19,15 +20,16 @@
 // enumeration returns. Replacing a graph bumps its generation, which
 // simultaneously invalidates the cache entries and the index for the old
 // graph; an edit batch (Edits) installs a new snapshot under a new
-// generation but migrates the cache entries the batch provably did not
-// affect and seeds incremental recomputation for the ones it did.
+// generation but re-stamps the cache entries the batch provably did not
+// affect, and keeps each affected k-VCC entry as a stale entry: it no
+// longer answers lookups, but it seeds the incremental recomputation that
+// replaces it and is the degraded answer when fresh compute cannot run.
 // RemoveGraph completes the lifecycle. The derived endpoints
 // (components-containing, overlap, cohesion, batch enumerate) are cheap
 // post-processing over the same results.
 package server
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -61,7 +63,9 @@ var (
 // sensible default applied by New.
 type Config struct {
 	// CacheSize is the maximum number of cached enumeration results
-	// (default 64). Each entry retains its component subgraphs, so the
+	// (default 64), current and stale together: the k-VCC results an edit
+	// batch made stale stay cached as incremental seeds and count against
+	// the same bound. Each entry retains its component subgraphs, so the
 	// memory cost scales with result size, not input size.
 	CacheSize int
 	// RequestTimeout bounds how long a request waits for its result
@@ -79,7 +83,7 @@ type Config struct {
 	// limit). Useful as a guardrail on public deployments.
 	MaxK int
 	// Parallelism is passed through to kvcc.WithParallelism for every
-	// enumeration (default 1: deterministic serial execution).
+	// enumeration (default 1: one worker, deterministic Stats).
 	Parallelism int
 	// BuildIndex starts a background k-VCC hierarchy-index build for
 	// every graph as it is registered and after every edit batch. Once a
@@ -191,19 +195,6 @@ type Server struct {
 	// removal of the graph it is updating.
 	editMu sync.Mutex
 
-	// prevMu guards prev, the one-shot incremental seeds: the last Result
-	// computed for a (graph, k, algo) whose cache entry an edit dropped.
-	// The next flight-leader enumeration for that key consumes the seed
-	// and recomputes only the k-core components the edits touched. The
-	// table is bounded by the cache capacity — seeds for keys that are
-	// never queried again are evicted oldest-first (see putSeed), so an
-	// edit-heavy workload cannot grow retained memory past what the
-	// cache itself was sized for. seedOrder keeps the entries in
-	// recency order (front = newest) so eviction is O(1), not a scan.
-	prevMu    sync.Mutex
-	prev      map[prevKey]*list.Element // values are *seedRecord
-	seedOrder *list.List
-
 	indexMu sync.Mutex
 	indexes map[indexKey]*graphIndex
 	// indexWG counts running index-build goroutines, save included, so
@@ -233,9 +224,10 @@ type Server struct {
 }
 
 // graphEntry pairs a registered graph with the generation of the AddGraph
-// or Edits call that installed it; the generation is part of every cache
-// and flight key (see cacheKey), which keeps an in-flight enumeration on
-// a replaced graph from serving or caching results under the new graph.
+// or Edits call that installed it; the generation is part of every flight
+// key and stamped on every cache entry (see cacheKey), which keeps an
+// in-flight enumeration on a replaced graph from serving or caching
+// results under the new graph.
 // The delta is the graph's mutation overlay (the current g is always its
 // compacted snapshot), created lazily by the first Edits call so
 // read-only graphs carry no edit bookkeeping; version is the overlay's
@@ -253,63 +245,6 @@ type graphEntry struct {
 	cores    []int
 }
 
-// prevKey addresses one incremental seed.
-type prevKey struct {
-	graph string
-	k     int
-	algo  kvcc.Algorithm
-}
-
-// seedRecord is one stored seed, threaded on seedOrder for eviction.
-type seedRecord struct {
-	key prevKey
-	res *kvcc.Result
-}
-
-// putSeed stores res as the incremental seed for key, evicting the
-// oldest seeds when the table would exceed the cache capacity (the seeds
-// are dropped cache entries, so the cache's own size is the natural
-// bound on what edits may retain). Recency lives on seedOrder, so both
-// the store and the eviction are O(1) — an edit batch dropping many
-// cache entries no longer pays a full-table scan per seed.
-func (s *Server) putSeed(key prevKey, res *kvcc.Result) {
-	s.prevMu.Lock()
-	defer s.prevMu.Unlock()
-	if el, ok := s.prev[key]; ok {
-		el.Value.(*seedRecord).res = res
-		s.seedOrder.MoveToFront(el)
-	} else {
-		s.prev[key] = s.seedOrder.PushFront(&seedRecord{key: key, res: res})
-	}
-	for len(s.prev) > s.cfg.CacheSize {
-		back := s.seedOrder.Back()
-		s.seedOrder.Remove(back)
-		delete(s.prev, back.Value.(*seedRecord).key)
-	}
-}
-
-// peekSeed returns the stored seed for key without consuming it.
-func (s *Server) peekSeed(key prevKey) *kvcc.Result {
-	s.prevMu.Lock()
-	defer s.prevMu.Unlock()
-	if el, ok := s.prev[key]; ok {
-		return el.Value.(*seedRecord).res
-	}
-	return nil
-}
-
-// consumeSeed removes the seed for key, but only if it is still the one
-// the caller peeked — a newer seed installed by a later edit batch must
-// survive for the first enumeration on that batch's snapshot.
-func (s *Server) consumeSeed(key prevKey, res *kvcc.Result) {
-	s.prevMu.Lock()
-	defer s.prevMu.Unlock()
-	if el, ok := s.prev[key]; ok && el.Value.(*seedRecord).res == res {
-		s.seedOrder.Remove(el)
-		delete(s.prev, key)
-	}
-}
-
 // testHookEnumerateStarted, when non-nil, runs at the start of every
 // flight-leader enumeration (after the cache double-check). Tests use it
 // to hold an enumeration open so concurrent requests demonstrably pile up.
@@ -325,8 +260,6 @@ func New(cfg Config) *Server {
 		adm:          newAdmission(cfg),
 		start:        time.Now(),
 		graphs:       make(map[string]graphEntry),
-		prev:         make(map[prevKey]*list.Element),
-		seedOrder:    list.New(),
 		indexes:      make(map[indexKey]*graphIndex),
 		measureStats: make(map[cohesion.Measure]*MeasureCounters),
 		stores:       make(map[string]*store.Store),
@@ -372,8 +305,8 @@ func (s *Server) countMeasure(m cohesion.Measure, tick func(*MeasureCounters)) {
 // build starts immediately.
 func (s *Server) AddGraph(name string, g *graph.Graph) {
 	// Serialize with in-flight edit batches: an Edits call must finish
-	// installing its seeds and index state before a replacement tears
-	// them down (and vice versa). The mutation overlay is created lazily
+	// migrating its cache entries and index state before a replacement
+	// tears them down (and vice versa). The mutation overlay is created lazily
 	// by the first Edits call, so registration costs no edit bookkeeping.
 	s.editMu.Lock()
 	defer s.editMu.Unlock()
@@ -390,7 +323,6 @@ func (s *Server) AddGraph(name string, g *graph.Graph) {
 	s.mu.Unlock()
 	if replaced {
 		s.cache.invalidateGraph(name)
-		s.dropSeeds(name)
 		s.dropIdem(name)
 	}
 	// Persist before starting the index build: the build's save needs
@@ -404,8 +336,8 @@ func (s *Server) AddGraph(name string, g *graph.Graph) {
 	}
 }
 
-// RemoveGraph unregisters the named graph, drops its cached results and
-// incremental seeds, and cancels (and discards) any background hierarchy
+// RemoveGraph unregisters the named graph, drops its cached results (stale
+// ones included), and cancels (and discards) any background hierarchy
 // index build. It reports whether the graph was registered. A long-running
 // daemon that cycles datasets uses this to keep its memory bounded;
 // requests already in flight finish against the snapshot they hold but
@@ -413,7 +345,7 @@ func (s *Server) AddGraph(name string, g *graph.Graph) {
 // entry).
 func (s *Server) RemoveGraph(name string) bool {
 	// Serialize with Edits for the same reason as AddGraph: without this,
-	// an in-flight edit could re-seed s.prev or restart an index build
+	// an in-flight edit could migrate cache entries or restart an index build
 	// after this removal swept them, resurrecting state for an
 	// unregistered graph.
 	s.editMu.Lock()
@@ -426,24 +358,11 @@ func (s *Server) RemoveGraph(name string) bool {
 		return false
 	}
 	s.cache.invalidateGraph(name)
-	s.dropSeeds(name)
 	s.dropIdem(name)
 	s.invalidateIndex(name)
 	s.dropProfile(name)
 	s.dropStore(name)
 	return true
-}
-
-// dropSeeds discards every incremental seed held for the named graph.
-func (s *Server) dropSeeds(name string) {
-	s.prevMu.Lock()
-	for key, el := range s.prev {
-		if key.graph == name {
-			s.seedOrder.Remove(el)
-			delete(s.prev, key)
-		}
-	}
-	s.prevMu.Unlock()
 }
 
 // LoadGraphFile reads a SNAP-style edge list and registers the graph
@@ -620,15 +539,14 @@ func estimateKey(key cacheKey) string {
 	return key.graph + "/" + key.measure.String() + "/" + strconv.Itoa(key.k)
 }
 
-// previousResult returns the previous-generation result for key's query,
-// if an edit batch retained one (the incremental-seed table holds exactly
-// the last Result computed before the current generation invalidated it).
-// Only the kvcc measure retains seeds; nil otherwise.
+// previousResult returns the stale result in key's cache slot: the last
+// Result computed on an older generation before an edit batch that
+// affected key's k. Only kvcc entries are kept stale; nil otherwise.
 func (s *Server) previousResult(key cacheKey) *kvcc.Result {
 	if key.measure != kvcc.MeasureKVCC {
 		return nil
 	}
-	return s.peekSeed(prevKey{graph: key.graph, k: key.k, algo: key.algo})
+	return s.cache.stale(key)
 }
 
 // degradedFor decides up front whether fresh compute fits the request's
@@ -648,7 +566,9 @@ func (s *Server) degradedFor(ctx context.Context, key cacheKey) *kvcc.Result {
 }
 
 // enumerate runs one cache-filling enumeration as the flight leader, on a
-// context detached from any request, and records latency metrics.
+// context detached from any request, and records latency metrics. A kvcc
+// enumeration starts from the stale entry in key's cache slot, if an edit
+// batch left one, and its put replaces that entry.
 func (s *Server) enumerate(key cacheKey, g *graph.Graph) (*kvcc.Result, error) {
 	if testHookEnumerateStarted != nil {
 		testHookEnumerateStarted()
@@ -664,17 +584,12 @@ func (s *Server) enumerate(key cacheKey, g *graph.Graph) (*kvcc.Result, error) {
 	s.statsMu.Unlock()
 	s.countMeasure(key.measure, func(c *MeasureCounters) { c.Enumerations++ })
 
-	// Consume the incremental seed, if an edit batch left one: the
-	// enumeration then reuses every k-core component the edits did not
-	// touch. Seeds are one-shot — consumed on success below — so the
-	// retained Result's memory is bounded by what was cached at edit time.
-	// Seeds exist only for the kvcc measure (the incremental path is
-	// k-VCC-specific); the other measures always enumerate from scratch.
-	var seed *kvcc.Result
-	seedKey := prevKey{graph: key.graph, k: key.k, algo: key.algo}
-	if key.measure == kvcc.MeasureKVCC {
-		seed = s.peekSeed(seedKey)
-	}
+	// Seed the enumeration with the stale result in key's cache slot, if
+	// an edit batch left one: it then reuses every k-core component the
+	// edits did not touch. Only kvcc entries are kept stale (the
+	// incremental path is k-VCC-specific); the other measures always
+	// enumerate from scratch. The put below replaces the stale entry.
+	seed := s.previousResult(key)
 
 	begin := time.Now()
 	// Bracket the computation with the process's major-fault counter: the
@@ -720,25 +635,20 @@ func (s *Server) enumerate(key cacheKey, g *graph.Graph) (*kvcc.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Only cache if the graph generation is still current: a result
-	// computed on a graph that was replaced mid-flight would otherwise sit
-	// unreachable in the LRU (lookups always use the current generation),
-	// wasting a slot until eviction.
+	// Only cache if the graph generation is still current: a leader
+	// pinned to a retired generation (its lookup raced an edit or a
+	// replacement) may reuse the stale entry's components, but must leave
+	// that entry in place for the first current-generation enumeration.
 	s.mu.Lock()
 	cur, ok := s.graphs[key.graph]
 	s.mu.Unlock()
 	if ok && cur.gen == key.gen {
 		s.cache.put(key, res)
-		// Consume the seed only when this leader computed on the current
-		// generation: a leader pinned to a retired generation (its lookup
-		// raced the edit) may reuse the seed's components, but must leave
-		// the seed in place for the first current-generation enumeration.
 		if seed != nil {
 			s.statsMu.Lock()
 			s.enum.IncrementalRuns++
 			s.enum.ComponentsReused += res.Stats.ComponentsReused
 			s.statsMu.Unlock()
-			s.consumeSeed(seedKey, seed)
 		}
 	}
 	return res, nil
