@@ -9,16 +9,16 @@ import (
 )
 
 // findCut searches a connected component for a vertex cut with fewer than
-// k vertices. It returns nil if the component is k-connected. Every
-// variant runs its flow tests on the component's sparse certificate
-// (Theorem 5), whatever the component's size: the certificate costs one
-// O(n+m) pass, and its last forest gives the group sweep its side groups.
+// k vertices. It returns nil if the component is k-connected. VCCE keeps
+// the paper's order: it builds the component's sparse certificate
+// (Theorem 5) and runs every flow test on it. The sweep variants run
+// GLOBAL-CUT*, which runs its first phase-1 test on the component itself
+// and builds the certificate only if that test passes (findCutOptimized).
 func (e *enumerator) findCut(g *graph.Graph, stats *Stats, ws *workspace) []int {
-	cert := sparse.ComputeScratch(g, e.k, &ws.sparse)
 	if e.opts.Algorithm == VCCE {
-		return e.findCutBasic(g, cert.SC, stats, ws)
+		return e.findCutBasic(g, sparse.ComputeScratch(g, e.k, &ws.sparse).SC, stats, ws)
 	}
-	return e.findCutOptimized(g, cert, stats, ws)
+	return e.findCutOptimized(g, stats, ws)
 }
 
 // findCutBasic is GLOBAL-CUT (Algorithm 2) on component g with its flow
@@ -123,13 +123,14 @@ func growClear[T bool | int | int8 | uint8](s []T, n int) []T {
 	return s
 }
 
-// reset primes cf for a new component.
-func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, cert *sparse.Certificate, stats *Stats, ws *workspace) {
+// reset primes cf for a new component with the state that reads only g:
+// the SSV memo, the sweep marks and deposits, and the neighbourhood stamps.
+// The certificate's state comes later, from setCertificate.
+func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, stats *Stats) {
 	n := g.NumVertices()
 	cf.g = g
-	cf.sc = cert.SC
+	cf.sc, cf.nw = nil, nil
 	cf.k = e.k
-	cf.nw = flow.NewNetworkScratch(cert.SC, e.k, &ws.flow)
 	cf.useNS = e.opts.Algorithm.neighborSweep()
 	cf.useGS = e.opts.Algorithm.groupSweep()
 	cf.stats = stats
@@ -142,6 +143,13 @@ func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, cert *sparse.Certifica
 	} else {
 		cf.nbStamp = cf.nbStamp[:n]
 	}
+}
+
+// setCertificate primes the state that needs g's sparse certificate: the
+// flow network on SC and, with the group sweep, the side groups.
+func (cf *cutFinder) setCertificate(cert *sparse.Certificate, fs *flow.Scratch) {
+	cf.sc = cert.SC
+	cf.nw = flow.NewNetworkScratch(cert.SC, cf.k, fs)
 	if cf.useGS {
 		cf.groupID = cert.GroupID
 		cf.groups = cert.SideGroups
@@ -153,42 +161,62 @@ func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, cert *sparse.Certifica
 }
 
 // findCutOptimized is GLOBAL-CUT* (Algorithm 3) with the sweep strategies
-// selected by the algorithm variant.
-func (e *enumerator) findCutOptimized(g *graph.Graph, cert *sparse.Certificate, stats *Stats, ws *workspace) []int {
+// selected by the algorithm variant. It builds g's sparse certificate
+// itself, and only when a cut has not turned up first: when no strong
+// side-vertex is found as the source, the first phase-1 test runs on g
+// (docs/DESIGN.md, "The first phase-1 test before the certificate").
+func (e *enumerator) findCutOptimized(g *graph.Graph, stats *Stats, ws *workspace) []int {
 	cf := &ws.cf
-	cf.reset(e, g, cert, stats, ws)
-	defer func() { stats.FlowRuns += cf.nw.FlowRuns }()
-
-	n := g.NumVertices()
+	cf.reset(e, g, stats)
+	defer func() {
+		if cf.nw != nil {
+			stats.FlowRuns += cf.nw.FlowRuns
+		}
+	}()
 
 	// Source selection (Algorithm 3, lines 4-7): prefer a strong
 	// side-vertex, since the source then cannot belong to any qualified
 	// cut and phase 2 can be skipped entirely. SSV statuses resolve
 	// lazily, so the scan is bounded; if no SSV turns up quickly, fall
-	// back to the minimum-degree vertex as in Algorithm 2.
+	// back to a minimum-degree vertex of g as in Algorithm 2.
 	u := -1
-	scan := n
-	if scan > ssvSourceScanLimit {
-		scan = ssvSourceScanLimit
-	}
-	for v := 0; v < scan; v++ {
+	for v := range min(g.NumVertices(), ssvSourceScanLimit) {
 		if cf.isSSV(v) {
 			u = v
 			break
 		}
 	}
-	if u == -1 {
-		// Minimum degree in the sparse certificate: phase 2 runs its
-		// rounds over N_SC(u), so the certificate degree is the quantity
-		// to minimize.
-		u, _ = cf.sc.MinDegreeVertex()
+	probe := u == -1
+	if probe {
+		u, _ = g.MinDegreeVertex()
 	}
-	cf.sweep(u, causeSeed)
 
-	// Phase 1: process vertices in non-ascending distance from u
-	// (Algorithm 3, line 11) — remote vertices are the most likely to be
-	// separated from the source.
+	// Phase 1 tests vertices in non-ascending distance from u (Algorithm
+	// 3, line 11): remote vertices are the most likely to be separated
+	// from the source.
 	order := cf.orderByDistance(g.BFSDistancesScratch(u, &ws.graph), u)
+
+	// The first test runs on g, before the certificate exists. Below k a
+	// vertex set splits g and SC alike, so the flow on g returns the
+	// verdict and the source-closest cut the flow on SC would. An SSV
+	// source skips this: its seed sweep may prune order[0] untested.
+	probe = probe && !g.HasEdge(u, order[0])
+	if probe {
+		stats.LocCutTests++
+		stats.TestedNonPrune++
+		nw := flow.NewNetworkScratch(g, e.k, &ws.flow)
+		cut, _, atLeast := nw.MinVertexCut(u, order[0])
+		stats.FlowRuns += nw.FlowRuns
+		if !atLeast {
+			return cut
+		}
+	}
+	cf.setCertificate(sparse.ComputeScratch(g, e.k, &ws.sparse), &ws.flow)
+	cf.sweep(u, causeSeed)
+	if probe {
+		cf.sweep(order[0], causeTested)
+		order = order[1:]
+	}
 	for _, v := range order {
 		if cf.pru[v] {
 			switch cf.cause[v] {

@@ -100,11 +100,10 @@ func TestPhase2PlantedCut(t *testing.T) {
 			e := &enumerator{k: k, opts: Options{Algorithm: algo}}
 			var ws workspace
 			stats := &Stats{}
-			cert := sparse.ComputeScratch(g, k, &ws.sparse)
-			if !slices.Equal(cert.SC.Neighbors(0), []int{1, 2, 3, 4, 5, 6}) {
-				t.Fatalf("seed %d: N_SC(0) = %v", seed, cert.SC.Neighbors(0))
+			if nb := sparse.Compute(g, k).SC.Neighbors(0); !slices.Equal(nb, []int{1, 2, 3, 4, 5, 6}) {
+				t.Fatalf("seed %d: N_SC(0) = %v", seed, nb)
 			}
-			cut := e.findCutOptimized(g, cert, stats, &ws)
+			cut := e.findCutOptimized(g, stats, &ws)
 			checkCut(t, g, k, cut)
 			if stats.SSVDetected != 0 || stats.Phase2Pairs == 0 {
 				t.Fatalf("seed %d %v: %d SSVs, %d phase-2 pairs; want phase 2 from source 0", seed, algo, stats.SSVDetected, stats.Phase2Pairs)
@@ -233,7 +232,8 @@ func TestEliminateMatchesAllPairs(t *testing.T) {
 				var ws workspace
 				cert := sparse.ComputeScratch(g, k, &ws.sparse)
 				want := allPairsCut(g, cert, k, algo.groupSweep(), u)
-				ws.cf.reset(e, g, cert, &Stats{}, &ws)
+				ws.cf.reset(e, g, &Stats{})
+				ws.cf.setCertificate(cert, &ws.flow)
 				got := ws.cf.eliminate(u)
 				if !slices.Equal(got, want) {
 					t.Fatalf("trial %d k=%d %v u=%d: elimination cut %v, all-pairs cut %v", trial, k, algo, u, got, want)

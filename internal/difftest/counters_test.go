@@ -35,24 +35,24 @@ var pinnedCounters = []struct {
 	ssv  int64
 }{
 	{"gnp-sparse", core.VCCE, counters{3, 0, 120, 140, 0, 0, 0, 130, 10, 0}, 0},
-	{"gnp-sparse", core.VCCEN, counters{3, 0, 27, 30, 3, 100, 0, 27, 3, 0}, 1},
-	{"gnp-sparse", core.VCCEG, counters{3, 0, 50, 58, 0, 0, 75, 55, 3, 0}, 1},
-	{"gnp-sparse", core.VCCEStar, counters{3, 0, 24, 27, 3, 32, 71, 24, 3, 0}, 1},
+	{"gnp-sparse", core.VCCEN, counters{3, 0, 31, 34, 3, 96, 0, 31, 3, 0}, 1},
+	{"gnp-sparse", core.VCCEG, counters{3, 0, 52, 58, 0, 0, 75, 55, 3, 0}, 1},
+	{"gnp-sparse", core.VCCEStar, counters{3, 0, 22, 25, 3, 34, 71, 22, 3, 0}, 1},
 	{"gnp-dense", core.VCCE, counters{7, 0, 215, 353, 0, 0, 0, 269, 84, 0}, 0},
-	{"gnp-dense", core.VCCEN, counters{7, 0, 47, 103, 31, 200, 0, 38, 65, 0}, 7},
-	{"gnp-dense", core.VCCEG, counters{7, 0, 80, 150, 0, 0, 180, 89, 61, 4}, 2},
-	{"gnp-dense", core.VCCEStar, counters{7, 0, 41, 95, 16, 57, 162, 34, 61, 4}, 2},
+	{"gnp-dense", core.VCCEN, counters{7, 0, 57, 110, 31, 193, 0, 45, 65, 0}, 7},
+	{"gnp-dense", core.VCCEG, counters{7, 0, 90, 119, 0, 0, 180, 89, 30, 35}, 2},
+	{"gnp-dense", core.VCCEStar, counters{7, 0, 49, 72, 16, 54, 157, 42, 30, 35}, 2},
 	{"gnm", core.VCCE, counters{4, 0, 215, 249, 0, 0, 0, 229, 20, 0}, 0},
-	{"gnm", core.VCCEN, counters{4, 0, 40, 45, 4, 190, 0, 35, 10, 0}, 1},
-	{"gnm", core.VCCEG, counters{4, 0, 70, 80, 0, 0, 156, 73, 7, 3}, 1},
-	{"gnm", core.VCCEStar, counters{4, 0, 25, 28, 4, 52, 152, 21, 7, 3}, 1},
+	{"gnm", core.VCCEN, counters{4, 0, 38, 43, 4, 192, 0, 33, 10, 0}, 1},
+	{"gnm", core.VCCEG, counters{4, 0, 71, 80, 0, 0, 156, 73, 7, 3}, 1},
+	{"gnm", core.VCCEStar, counters{4, 0, 26, 29, 4, 52, 151, 22, 7, 3}, 1},
 	{"barabasi-albert", core.VCCE, counters{3, 0, 145, 172, 0, 0, 0, 162, 10, 0}, 0},
 	{"barabasi-albert", core.VCCEN, counters{3, 0, 0, 0, 15, 147, 0, 0, 0, 0}, 8},
 	{"barabasi-albert", core.VCCEG, counters{3, 0, 7, 11, 0, 0, 151, 11, 0, 0}, 3},
 	{"barabasi-albert", core.VCCEStar, counters{3, 0, 0, 0, 12, 5, 145, 0, 0, 0}, 5},
 	{"web-copying", core.VCCE, counters{3, 0, 213, 247, 0, 0, 0, 237, 10, 0}, 0},
-	{"web-copying", core.VCCEN, counters{3, 0, 10, 13, 5, 222, 0, 10, 3, 0}, 2},
-	{"web-copying", core.VCCEG, counters{3, 0, 20, 25, 0, 0, 213, 24, 1, 2}, 1},
+	{"web-copying", core.VCCEN, counters{3, 0, 9, 12, 5, 223, 0, 9, 3, 0}, 2},
+	{"web-copying", core.VCCEG, counters{3, 0, 22, 25, 0, 0, 213, 24, 1, 2}, 1},
 	{"web-copying", core.VCCEStar, counters{3, 0, 5, 6, 4, 18, 210, 5, 1, 2}, 1},
 	{"planted", core.VCCE, counters{38, 16, 329, 981, 0, 0, 0, 689, 292, 0}, 0},
 	{"planted", core.VCCEN, counters{38, 16, 42, 42, 288, 171, 0, 42, 0, 0}, 81},
@@ -87,9 +87,9 @@ var pinnedCounters = []struct {
 	{"barbell", core.VCCEG, counters{11, 1, 1, 43, 0, 0, 18, 43, 0, 0}, 15},
 	{"barbell", core.VCCEStar, counters{11, 1, 1, 1, 60, 0, 0, 1, 0, 0}, 15},
 	{"hypercube", core.VCCE, counters{3, 0, 43, 55, 0, 0, 0, 45, 10, 0}, 0},
-	{"hypercube", core.VCCEN, counters{3, 0, 21, 22, 15, 11, 0, 19, 3, 0}, 7},
-	{"hypercube", core.VCCEG, counters{3, 0, 27, 37, 0, 0, 11, 34, 3, 0}, 3},
-	{"hypercube", core.VCCEStar, counters{3, 0, 21, 22, 13, 11, 2, 19, 3, 0}, 5},
+	{"hypercube", core.VCCEN, counters{3, 0, 23, 25, 15, 11, 0, 19, 6, 0}, 7},
+	{"hypercube", core.VCCEG, counters{3, 0, 29, 40, 0, 0, 11, 34, 6, 0}, 3},
+	{"hypercube", core.VCCEStar, counters{3, 0, 23, 25, 13, 11, 2, 19, 6, 0}, 5},
 	{"wheel", core.VCCE, counters{2, 0, 17, 26, 0, 0, 0, 22, 4, 0}, 0},
 	{"wheel", core.VCCEN, counters{2, 0, 8, 8, 11, 3, 0, 8, 0, 0}, 9},
 	{"wheel", core.VCCEG, counters{2, 0, 8, 12, 0, 0, 10, 12, 0, 0}, 1},
@@ -111,9 +111,9 @@ var pinnedCounters = []struct {
 	{"lollipop", core.VCCEG, counters{6, 0, 0, 27, 0, 0, 15, 27, 0, 0}, 9},
 	{"lollipop", core.VCCEStar, counters{6, 0, 0, 0, 42, 0, 0, 0, 0, 0}, 9},
 	{"harary-expander", core.VCCE, counters{7, 0, 247, 357, 0, 0, 0, 273, 84, 0}, 0},
-	{"harary-expander", core.VCCEN, counters{7, 0, 132, 192, 0, 146, 0, 127, 65, 0}, 0},
-	{"harary-expander", core.VCCEG, counters{7, 0, 147, 233, 0, 0, 105, 168, 65, 0}, 0},
-	{"harary-expander", core.VCCEStar, counters{7, 0, 129, 189, 0, 44, 105, 124, 65, 0}, 0},
+	{"harary-expander", core.VCCEN, counters{7, 0, 139, 262, 0, 146, 0, 127, 135, 0}, 0},
+	{"harary-expander", core.VCCEG, counters{7, 0, 157, 273, 0, 0, 105, 168, 105, 30}, 0},
+	{"harary-expander", core.VCCEStar, counters{7, 0, 139, 232, 0, 53, 93, 127, 105, 30}, 0},
 	{"star-of-cliques", core.VCCE, counters{17, 3, 18, 280, 0, 0, 0, 152, 128, 0}, 0},
 	{"star-of-cliques", core.VCCEN, counters{17, 3, 3, 3, 128, 0, 0, 3, 0, 0}, 17},
 	{"star-of-cliques", core.VCCEG, counters{17, 3, 3, 74, 0, 0, 57, 74, 0, 0}, 23},

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"reflect"
 	"testing"
 
 	"kvcc/gen"
@@ -69,6 +70,24 @@ func TestIncrementalEquivalence(t *testing.T) {
 				CheckIncremental(t, c.G, k, script)
 			}
 		})
+	}
+}
+
+// TestEditScriptReplayable requires one seed to give one edit script, so
+// a failing TestIncrementalEquivalence round can be replayed from its
+// seed.
+func TestEditScriptReplayable(t *testing.T) {
+	g := Corpus()[0].G
+	a, b := EditScript(g, 5, 8, 7), EditScript(g, 5, 8, 7)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("seed 7 gave two scripts:\n  %v\n  %v", a, b)
+	}
+	deletes := 0
+	for _, batch := range a {
+		deletes += len(batch.Deletes)
+	}
+	if deletes == 0 {
+		t.Fatal("the script deletes no edge")
 	}
 }
 

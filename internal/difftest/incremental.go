@@ -26,15 +26,20 @@ type EditBatch struct {
 func EditScript(g *graph.Graph, rounds, perRound int, seed int64) []EditBatch {
 	rng := rand.New(rand.NewSource(seed))
 	labels := append([]int64(nil), g.Labels()...)
-	edges := make(map[[2]int64]bool)
-	key := func(a, b int64) [2]int64 {
-		if a > b {
-			a, b = b, a
+	// The live edges sit in a slice, so "the n-th edge" is the same on
+	// every run; at maps each edge to its slot for duplicate checks and
+	// swap deletion.
+	var live [][2]int64
+	at := make(map[[2]int64]int)
+	add := func(a, b int64) {
+		e := [2]int64{min(a, b), max(a, b)}
+		if _, ok := at[e]; !ok {
+			at[e] = len(live)
+			live = append(live, e)
 		}
-		return [2]int64{a, b}
 	}
 	for _, e := range g.Edges(nil) {
-		edges[key(g.Label(e[0]), g.Label(e[1]))] = true
+		add(g.Label(e[0]), g.Label(e[1]))
 	}
 	maxLabel := int64(0)
 	for _, l := range labels {
@@ -47,23 +52,20 @@ func EditScript(g *graph.Graph, rounds, perRound int, seed int64) []EditBatch {
 		var batch EditBatch
 		for i := 0; i < perRound; i++ {
 			switch {
-			case rng.Intn(3) == 0 && len(edges) > 0:
+			case rng.Intn(3) == 0 && len(live) > 0:
 				// Delete a random existing edge.
-				n := rng.Intn(len(edges))
-				for e := range edges {
-					if n == 0 {
-						batch.Deletes = append(batch.Deletes, [2]int64{e[0], e[1]})
-						delete(edges, e)
-						break
-					}
-					n--
-				}
+				n := rng.Intn(len(live))
+				e, last := live[n], live[len(live)-1]
+				batch.Deletes = append(batch.Deletes, e)
+				live[n], at[last] = last, n
+				live = live[:len(live)-1]
+				delete(at, e)
 			case rng.Intn(8) == 0:
 				// Wire in a brand-new vertex.
 				maxLabel++
 				anchor := labels[rng.Intn(len(labels))]
 				batch.Inserts = append(batch.Inserts, [2]int64{maxLabel, anchor})
-				edges[key(maxLabel, anchor)] = true
+				add(maxLabel, anchor)
 				labels = append(labels, maxLabel)
 			default:
 				a := labels[rng.Intn(len(labels))]
@@ -72,7 +74,7 @@ func EditScript(g *graph.Graph, rounds, perRound int, seed int64) []EditBatch {
 					continue
 				}
 				batch.Inserts = append(batch.Inserts, [2]int64{a, b})
-				edges[key(a, b)] = true
+				add(a, b)
 			}
 		}
 		script = append(script, batch)

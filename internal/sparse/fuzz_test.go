@@ -45,11 +45,11 @@ func certDiff(a, b *Certificate) string {
 
 // FuzzCertificate checks every property the engine takes from a
 // certificate on arbitrary small graphs, connected or not: SC is a
-// subgraph of G within the k(n-1) edge bound, local connectivity capped
-// at k is the same in G and SC for every non-adjacent pair, every
-// dropped edge is k-connected inside SC, every side-group pair is
-// k-connected in G, and a Scratch left dirty by a larger graph builds
-// the same certificate as one-shot Compute.
+// subgraph of G within the k(n-1) edge bound, for every non-adjacent pair
+// a flow at bound k gives the same value and the same source-closest cut
+// in G and SC, every dropped edge is k-connected inside SC, every
+// side-group pair is k-connected in G, and a Scratch left dirty by a
+// larger graph builds the same certificate as one-shot Compute.
 func FuzzCertificate(f *testing.F) {
 	f.Add(uint8(5), uint8(2), []byte{0xff, 0x03})
 	f.Add(uint8(13), uint8(4), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -73,13 +73,14 @@ func FuzzCertificate(f *testing.F) {
 				t.Fatalf("k=%d: SC edge %v not in G", k, e)
 			}
 		}
+		inG, inSC := flow.NewNetwork(g, k), flow.NewNetwork(sc, k)
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				switch {
 				case !g.HasEdge(u, v):
-					inG := flow.LocalConnectivity(g, u, v, k)
-					if inSC := flow.LocalConnectivity(sc, u, v, k); inG != inSC {
-						t.Fatalf("k=%d: min(κ(%d,%d),k) is %d in G, %d in SC", k, u, v, inG, inSC)
+					cutG, cG, _ := inG.MinVertexCut(u, v)
+					if cutSC, cSC, _ := inSC.MinVertexCut(u, v); cG != cSC || !slices.Equal(cutG, cutSC) {
+						t.Fatalf("k=%d: pair (%d,%d) has cut %v (min(κ,k) %d) in G, %v (%d) in SC", k, u, v, cutG, cG, cutSC, cSC)
 					}
 				case !sc.HasEdge(u, v):
 					if c := flow.LocalConnectivity(sc, u, v, k); c < k {

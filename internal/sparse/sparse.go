@@ -8,8 +8,10 @@
 // edge of G absent from SC joins two vertices with local connectivity >= k
 // inside SC. Consequently removing any vertex set S with |S| < k splits SC
 // and G into identical vertex partitions, so a (<k)-cut found on SC is a
-// (<k)-cut of G, and local connectivities below k agree between the two
-// graphs. GLOBAL-CUT therefore runs entirely on SC.
+// (<k)-cut of G, and local connectivities below k, and the source-closest
+// minimum cuts below k, agree between the two graphs. GLOBAL-CUT therefore
+// may run any flow test on either graph: GLOBAL-CUT* runs its first
+// phase-1 test on G, before SC exists, and the rest on SC.
 //
 // CKT define SC as F_1 ∪ ... ∪ F_k, where each F_i is a scan-first search
 // forest of G - F_1 - ... - F_{i-1}. Running k searches costs O(k·m);

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kvcc/graph"
@@ -76,33 +77,42 @@ func TestCertificateSmallGraphExact(t *testing.T) {
 	}
 }
 
-// Core CKT property: local connectivity capped at k is preserved.
+// Core CKT property: a vertex set of fewer than k vertices splits SC and G
+// into the same parts. So for every non-adjacent pair a flow at bound k
+// gives the same verdict on G and on SC, and below k the same
+// source-closest cut: GLOBAL-CUT* runs its first phase-1 test on G and
+// the rest on SC.
 func TestCertificatePreservesCappedConnectivity(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
+	pairs, below := 0, 0
+	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n := 6 + rng.Intn(8)
-		g := randomConnectedGraph(n, 0.4, rng)
-		for k := 1; k <= 4; k++ {
-			cert := Compute(g, k)
-			for u := 0; u < n; u++ {
-				for v := u + 1; v < n; v++ {
-					if g.HasEdge(u, v) {
-						continue
-					}
-					inG := flow.LocalConnectivity(g, u, v, k)
-					if cert.SC.HasEdge(u, v) {
-						// Edge retained: connectivity in SC is infinite-ish.
-						continue
-					}
-					inSC := flow.LocalConnectivity(cert.SC, u, v, k)
-					if inG != inSC {
-						t.Fatalf("seed %d k %d: min(κ(%d,%d),k) differs: G=%d SC=%d",
-							seed, k, u, v, inG, inSC)
-					}
+		n := 6 + rng.Intn(20)
+		g := randomConnectedGraph(n, 0.05+0.3*rng.Float64(), rng)
+		k := 2 + rng.Intn(4)
+		cert := Compute(g, k)
+		inG, inSC := flow.NewNetwork(g, k), flow.NewNetwork(cert.SC, k)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if g.HasEdge(u, v) {
+					continue
+				}
+				pairs++
+				cutG, cG, okG := inG.MinVertexCut(u, v)
+				cutSC, cSC, okSC := inSC.MinVertexCut(u, v)
+				if okG != okSC || cG != cSC || !slices.Equal(cutG, cutSC) {
+					t.Fatalf("seed %d k %d pair (%d,%d): G gives cut %v (κ %d, ≥k %v), SC gives %v (κ %d, ≥k %v)",
+						seed, k, u, v, cutG, cG, okG, cutSC, cSC, okSC)
+				}
+				if !okG {
+					below++
 				}
 			}
 		}
 	}
+	if below < 5000 || pairs-below < 5000 {
+		t.Fatalf("%d pairs, %d below k; the draw is too weak", pairs, below)
+	}
+	t.Logf("%d pairs, %d below k", pairs, below)
 }
 
 // Every edge dropped from the certificate joins vertices that are still
