@@ -55,6 +55,7 @@ func FuzzCertificate(f *testing.F) {
 	f.Add(uint8(13), uint8(4), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(uint8(11), uint8(3), []byte{0x5a, 0xc3, 0x3c, 0xa5, 0x0f, 0xf0, 0x99, 0x66, 0x81, 0x7e, 0x24})
 	f.Add(uint8(9), uint8(1), []byte{0x12, 0x34, 0x56, 0x78, 0x9a})
+	f.Add(uint8(10), uint8(0), []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde})
 	f.Fuzz(func(t *testing.T, nRaw, kRaw uint8, pairs []byte) {
 		g := fuzzGraph(nRaw, pairs)
 		n := g.NumVertices()

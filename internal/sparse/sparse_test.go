@@ -78,8 +78,8 @@ func TestCertificateSmallGraphExact(t *testing.T) {
 }
 
 // Core CKT property: a vertex set of fewer than k vertices splits SC and G
-// into the same parts. So for every non-adjacent pair a flow at bound k
-// gives the same verdict on G and on SC, and below k the same
+// into the same parts. So for every k and every non-adjacent pair a flow
+// at bound k gives the same verdict on G and on SC, and below k the same
 // source-closest cut: GLOBAL-CUT* runs its first phase-1 test on G and
 // the rest on SC.
 func TestCertificatePreservesCappedConnectivity(t *testing.T) {
@@ -88,23 +88,24 @@ func TestCertificatePreservesCappedConnectivity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(20)
 		g := randomConnectedGraph(n, 0.05+0.3*rng.Float64(), rng)
-		k := 2 + rng.Intn(4)
-		cert := Compute(g, k)
-		inG, inSC := flow.NewNetwork(g, k), flow.NewNetwork(cert.SC, k)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if g.HasEdge(u, v) {
-					continue
-				}
-				pairs++
-				cutG, cG, okG := inG.MinVertexCut(u, v)
-				cutSC, cSC, okSC := inSC.MinVertexCut(u, v)
-				if okG != okSC || cG != cSC || !slices.Equal(cutG, cutSC) {
-					t.Fatalf("seed %d k %d pair (%d,%d): G gives cut %v (κ %d, ≥k %v), SC gives %v (κ %d, ≥k %v)",
-						seed, k, u, v, cutG, cG, okG, cutSC, cSC, okSC)
-				}
-				if !okG {
-					below++
+		for k := 1; k <= 5; k++ {
+			cert := Compute(g, k)
+			inG, inSC := flow.NewNetwork(g, k), flow.NewNetwork(cert.SC, k)
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if g.HasEdge(u, v) {
+						continue
+					}
+					pairs++
+					cutG, cG, okG := inG.MinVertexCut(u, v)
+					cutSC, cSC, okSC := inSC.MinVertexCut(u, v)
+					if okG != okSC || cG != cSC || !slices.Equal(cutG, cutSC) {
+						t.Fatalf("seed %d k %d pair (%d,%d): G gives cut %v (κ %d, ≥k %v), SC gives %v (κ %d, ≥k %v)",
+							seed, k, u, v, cutG, cG, okG, cutSC, cSC, okSC)
+					}
+					if !okG {
+						below++
+					}
 				}
 			}
 		}
