@@ -80,8 +80,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *stats {
 		s := res.Stats
 		fmt.Fprintf(stderr,
-			"components: %d\nglobal-cut calls: %d\npartitions: %d\nloc-cut tests: %d\nflow runs: %d\nswept ns1/ns2/gs: %d/%d/%d\ntested: %d\npeak bytes: %d\n",
-			len(res.Components), s.GlobalCutCalls, s.Partitions, s.LocCutTests,
+			"components: %d\nglobal-cut calls: %d\npartitions: %d\nblock splits: %d\nloc-cut tests: %d\nflow runs: %d\nswept ns1/ns2/gs: %d/%d/%d\ntested: %d\npeak bytes: %d\n",
+			len(res.Components), s.GlobalCutCalls, s.Partitions, s.BlockSplits, s.LocCutTests,
 			s.FlowRuns, s.SweptNS1, s.SweptNS2, s.SweptGS, s.TestedNonPrune, s.PeakBytes)
 	}
 	return 0

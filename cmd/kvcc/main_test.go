@@ -49,8 +49,12 @@ func TestRunStats(t *testing.T) {
 	if code := run([]string{"-k", "3", "-in", in, "-stats"}, &out, &errBuf); code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	if !strings.Contains(errBuf.String(), "components: 2") {
-		t.Fatalf("stats missing:\n%s", errBuf.String())
+	// The bridge between the two K5s makes its ends cut vertices: one
+	// block split.
+	for _, want := range []string{"components: 2", "block splits: 1"} {
+		if !strings.Contains(errBuf.String(), want) {
+			t.Fatalf("stats missing %q:\n%s", want, errBuf.String())
+		}
 	}
 }
 

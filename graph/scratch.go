@@ -16,6 +16,8 @@ type Scratch struct {
 	// BFS state for BFSDistancesScratch.
 	dist  []int
 	queue []int
+
+	blocks blockScratch // BiconnectedBlocks state
 }
 
 // grow ensures the buffers cover n original vertices. Growing replaces the

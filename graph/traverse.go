@@ -57,6 +57,127 @@ func (g *Graph) ConnectedComponents() [][]int {
 	return comps
 }
 
+// blockScratch holds the Hopcroft–Tarjan state of BiconnectedBlocks and
+// the block layout it returns.
+type blockScratch struct {
+	disc, low, pos, owner, firstHead []int // per vertex
+	path, pending                    []int // DFS path; visited vertices awaiting their block
+	size, nextHead                   []int // per block
+	starts, members                  []int
+	blocks                           [][]int
+}
+
+// BiconnectedBlocks returns the biconnected blocks of g, the maximal
+// subgraphs without a cut vertex, in one iterative Hopcroft–Tarjan pass.
+// The blocks of connected component c are blocks[starts[c]:starts[c+1]];
+// components are ordered by their smallest vertex, and a component is a
+// single block exactly when it has no cut vertex. Every edge lies in one
+// block, a bridge is a two-vertex block, an isolated vertex a one-vertex
+// block, and two blocks share at most one vertex, a cut vertex. Each block
+// is sorted ascending, and blocks are ordered as the DFS from the
+// component's smallest vertex closes them. The returned slices are owned
+// by s and valid until the next BiconnectedBlocks call with s.
+func (g *Graph) BiconnectedBlocks(s *Scratch) (blocks [][]int, starts []int) {
+	n := g.NumVertices()
+	b := &s.blocks
+	disc := reuse(&b.disc, n) // discovery time, -1 until visited
+	low := reuse(&b.low, n)
+	pos := reuse(&b.pos, n)     // next adjacency position to scan
+	owner := reuse(&b.owner, n) // the block v was closed into; -1 for DFS roots
+	firstHead := reuse(&b.firstHead, n)
+	for v := range disc {
+		disc[v], firstHead[v] = -1, -1
+	}
+	// A block is its closing vertex u (the cut vertex or root it hangs
+	// from) plus the pending vertices popped when it closes; every other
+	// vertex is popped exactly once. The blocks u closes are chained
+	// through firstHead[u] and nextHead.
+	size, nextHead, starts := b.size[:0], b.nextHead[:0], b.starts[:0]
+	path, pending := b.path[:0], b.pending[:0]
+	clock := 0
+	for r := 0; r < n; r++ {
+		if disc[r] >= 0 {
+			continue
+		}
+		starts = append(starts, len(size))
+		disc[r], low[r], pos[r], owner[r] = clock, clock, g.offsets[r], -1
+		clock++
+		path = append(path, r)
+		for len(path) > 0 {
+			v := path[len(path)-1]
+			if pos[v] < g.offsets[v+1] {
+				w := g.edges[pos[v]]
+				pos[v]++
+				if disc[w] < 0 {
+					disc[w], low[w], pos[w] = clock, clock, g.offsets[w]
+					clock++
+					path = append(path, w)
+					pending = append(pending, w)
+				} else if disc[w] < low[v] {
+					// The tree edge back to the parent counts too: it can
+					// lower low[v] only to disc[parent], which the cut
+					// test below still accepts.
+					low[v] = disc[w]
+				}
+				continue
+			}
+			path = path[:len(path)-1]
+			if len(path) == 0 {
+				break
+			}
+			u := path[len(path)-1]
+			low[u] = min(low[u], low[v])
+			if low[v] >= disc[u] {
+				// No edge leaves v's subtree above u: the subtree's
+				// pending vertices and u close one block.
+				id := len(size)
+				count := 1
+				for {
+					x := pending[len(pending)-1]
+					pending = pending[:len(pending)-1]
+					owner[x] = id
+					count++
+					if x == v {
+						break
+					}
+				}
+				size = append(size, count)
+				nextHead = append(nextHead, firstHead[u])
+				firstHead[u] = id
+			}
+		}
+		if len(size) == starts[len(starts)-1] {
+			owner[r] = len(size) // isolated vertex
+			size = append(size, 1)
+			nextHead = append(nextHead, -1)
+		}
+	}
+	starts = append(starts, len(size))
+	// One ascending vertex scan lays every block out sorted, each in its
+	// capacity-capped window of one flat array.
+	total := 0
+	for _, c := range size {
+		total += c
+	}
+	members := reuse(&b.members, total)
+	blocks = b.blocks[:0]
+	off := 0
+	for _, c := range size {
+		blocks = append(blocks, members[off:off:off+c])
+		off += c
+	}
+	for v := 0; v < n; v++ {
+		if id := owner[v]; id >= 0 {
+			blocks[id] = append(blocks[id], v)
+		}
+		for id := firstHead[v]; id >= 0; id = nextHead[id] {
+			blocks[id] = append(blocks[id], v)
+		}
+	}
+	b.size, b.nextHead, b.starts, b.path, b.pending, b.blocks = size, nextHead, starts, path, pending, blocks
+	return blocks, starts
+}
+
 // IsConnected reports whether the graph is connected. The empty graph is
 // not connected; a single vertex is.
 func (g *Graph) IsConnected() bool {

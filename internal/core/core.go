@@ -5,7 +5,11 @@
 // split into connected components, and for each component search for a
 // vertex cut with fewer than k vertices (GLOBAL-CUT). A component with no
 // such cut is a k-VCC; otherwise the cut is duplicated into every side
-// (overlapped partition) and the sides are processed recursively.
+// (overlapped partition) and the sides are processed recursively. For
+// k >= 2 the component split also splits at cut vertices, so a component
+// with a one-vertex cut is cut into its biconnected blocks without a cut
+// search; this departs from Algorithm 1, which finds each such cut with
+// GLOBAL-CUT, and leaves the k-VCCs unchanged.
 //
 // Four algorithm variants are provided, matching the paper's evaluation:
 //
@@ -82,6 +86,7 @@ type Options struct {
 type Stats struct {
 	GlobalCutCalls int64 `json:"global_cut_calls"` // components examined for a cut
 	Partitions     int64 `json:"partitions"`       // overlapped partitions performed
+	BlockSplits    int64 `json:"block_splits"`     // components split at their cut vertices (k >= 2)
 	KCorePeeled    int64 `json:"kcore_peeled"`     // vertices removed by k-core reduction
 	FlowRuns       int64 `json:"flow_runs"`        // max-flow computations (non-shortcut LOC-CUT)
 	LocCutTests    int64 `json:"loc_cut_tests"`    // LOC-CUT invocations (phase 1 + phase 2)
@@ -126,8 +131,8 @@ type Stats struct {
 // String summarizes the statistics in one line.
 func (s *Stats) String() string {
 	return fmt.Sprintf(
-		"global-cuts=%d partitions=%d peeled=%d loc-cut=%d flows=%d swept(ns1/ns2/gs)=%d/%d/%d tested=%d",
-		s.GlobalCutCalls, s.Partitions, s.KCorePeeled, s.LocCutTests,
+		"global-cuts=%d partitions=%d block-splits=%d peeled=%d loc-cut=%d flows=%d swept(ns1/ns2/gs)=%d/%d/%d tested=%d",
+		s.GlobalCutCalls, s.Partitions, s.BlockSplits, s.KCorePeeled, s.LocCutTests,
 		s.FlowRuns, s.SweptNS1, s.SweptNS2, s.SweptGS, s.TestedNonPrune)
 }
 
@@ -136,6 +141,7 @@ func (s *Stats) String() string {
 func (s *Stats) Add(s2 *Stats) {
 	s.GlobalCutCalls += s2.GlobalCutCalls
 	s.Partitions += s2.Partitions
+	s.BlockSplits += s2.BlockSplits
 	s.KCorePeeled += s2.KCorePeeled
 	s.FlowRuns += s2.FlowRuns
 	s.LocCutTests += s2.LocCutTests
@@ -173,8 +179,9 @@ func EnumerateContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 // enumeration engine: it decomposes one subgraph — typically a single
 // connected component of the k-core, as produced by internal/incr's
 // partition step — and returns its k-VCCs in canonical order. The engine
-// itself is general (it re-peels and re-splits defensively, so an
-// arbitrary graph is also accepted; EnumerateContext is exactly this
+// itself is general (its first step re-peels the subgraph and splits it
+// into connected components, and for k >= 2 into biconnected blocks, so
+// an arbitrary graph is also accepted; EnumerateContext is exactly this
 // function on the whole graph), but the contract matters for incremental
 // maintenance: the k-VCCs of a graph are the disjoint union of the k-VCCs
 // of its k-core connected components, so callers may enumerate components
@@ -322,8 +329,11 @@ func (e *enumerator) run(seed []*graph.Graph, stats *Stats) []*graph.Graph {
 }
 
 // step performs one level of Algorithm 1 on a queued subgraph: k-core
-// reduction, component split, cut search, and overlapped partition. It
-// returns the child subgraphs and any k-VCCs found. The workspace is reused
+// reduction, component split, cut search, and overlapped partition. For
+// k >= 2 the component split is one biconnected-block pass: a component
+// without a cut vertex goes to the cut search, and one with a cut vertex
+// is replaced by its blocks of more than k vertices, queued as children
+// with no cut search. It returns the child subgraphs and any k-VCCs found. The workspace is reused
 // for every subgraph extraction, certificate, and flow network in this
 // step (and across the caller's steps), which keeps the hot recursion at
 // a constant number of allocations per extracted subgraph.
@@ -334,7 +344,33 @@ func (e *enumerator) step(g *graph.Graph, stats *Stats, ws *workspace) (children
 	if cored.NumVertices() == 0 {
 		return nil, nil
 	}
-	comps := cored.ConnectedComponents()
+	var comps [][]int
+	if e.k == 1 {
+		// A 1-VCC is a whole connected component, cut vertices included.
+		comps = cored.ConnectedComponents()
+	} else {
+		// For k >= 2 every k-VCC is 2-connected and lies inside one
+		// biconnected block, so a component with a cut vertex is split
+		// into its blocks with no cut search. Blocks of at most k
+		// vertices, bridges included, hold no k-VCC and are dropped; the
+		// others are queued, and their own step re-peels and re-splits
+		// them. The blocks stay valid below: no other block pass runs
+		// on this scratch within the step.
+		blocks, starts := cored.BiconnectedBlocks(scratch)
+		for c := 0; c+1 < len(starts); c++ {
+			own := blocks[starts[c]:starts[c+1]]
+			if len(own) == 1 {
+				comps = append(comps, own[0])
+				continue
+			}
+			stats.BlockSplits++
+			for _, b := range own {
+				if len(b) > e.k {
+					children = append(children, cored.InducedSubgraphScratch(b, scratch))
+				}
+			}
+		}
+	}
 	for _, comp := range comps {
 		var sub *graph.Graph
 		if len(comps) == 1 && cored.NumVertices() == len(comp) {

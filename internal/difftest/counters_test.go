@@ -54,10 +54,10 @@ var pinnedCounters = []struct {
 	{"web-copying", core.VCCEN, counters{3, 0, 9, 12, 5, 223, 0, 9, 3, 0}, 2},
 	{"web-copying", core.VCCEG, counters{3, 0, 22, 25, 0, 0, 213, 24, 1, 2}, 1},
 	{"web-copying", core.VCCEStar, counters{3, 0, 5, 6, 4, 18, 210, 5, 1, 2}, 1},
-	{"planted", core.VCCE, counters{38, 16, 329, 981, 0, 0, 0, 689, 292, 0}, 0},
-	{"planted", core.VCCEN, counters{38, 16, 42, 42, 288, 171, 0, 42, 0, 0}, 81},
-	{"planted", core.VCCEG, counters{38, 16, 106, 229, 0, 0, 272, 229, 0, 0}, 59},
-	{"planted", core.VCCEStar, counters{38, 16, 42, 42, 279, 57, 123, 42, 0, 0}, 93},
+	{"planted", core.VCCE, counters{35, 13, 333, 942, 0, 0, 0, 650, 292, 0}, 0},
+	{"planted", core.VCCEN, counters{35, 13, 39, 39, 288, 171, 0, 39, 0, 0}, 75},
+	{"planted", core.VCCEG, counters{35, 13, 103, 226, 0, 0, 272, 226, 0, 0}, 56},
+	{"planted", core.VCCEStar, counters{35, 13, 39, 39, 279, 57, 123, 39, 0, 0}, 85},
 	{"planted-dense", core.VCCE, counters{32, 12, 187, 944, 0, 0, 0, 524, 420, 0}, 0},
 	{"planted-dense", core.VCCEN, counters{32, 12, 17, 17, 282, 96, 0, 17, 0, 0}, 68},
 	{"planted-dense", core.VCCEG, counters{32, 12, 53, 201, 0, 0, 194, 201, 0, 0}, 43},
@@ -70,10 +70,10 @@ var pinnedCounters = []struct {
 	{"two-cliques-exact-overlap", core.VCCEN, counters{9, 2, 2, 2, 61, 0, 0, 2, 0, 0}, 12},
 	{"two-cliques-exact-overlap", core.VCCEG, counters{9, 2, 5, 36, 0, 0, 27, 36, 0, 0}, 12},
 	{"two-cliques-exact-overlap", core.VCCEStar, counters{9, 2, 2, 2, 61, 0, 0, 2, 0, 0}, 14},
-	{"two-cliques-cut-vertex", core.VCCE, counters{12, 4, 4, 104, 0, 0, 0, 64, 40, 0}, 0},
-	{"two-cliques-cut-vertex", core.VCCEN, counters{12, 4, 4, 4, 40, 0, 0, 4, 0, 0}, 12},
-	{"two-cliques-cut-vertex", core.VCCEG, counters{12, 4, 4, 30, 0, 0, 14, 30, 0, 0}, 16},
-	{"two-cliques-cut-vertex", core.VCCEStar, counters{12, 4, 4, 4, 40, 0, 0, 4, 0, 0}, 17},
+	{"two-cliques-cut-vertex", core.VCCE, counters{8, 0, 0, 80, 0, 0, 0, 40, 40, 0}, 0},
+	{"two-cliques-cut-vertex", core.VCCEN, counters{8, 0, 0, 0, 40, 0, 0, 0, 0, 0}, 8},
+	{"two-cliques-cut-vertex", core.VCCEG, counters{8, 0, 0, 26, 0, 0, 14, 26, 0, 0}, 12},
+	{"two-cliques-cut-vertex", core.VCCEStar, counters{8, 0, 0, 0, 40, 0, 0, 0, 0, 0}, 12},
 	{"cycle", core.VCCE, counters{1, 0, 28, 30, 0, 0, 0, 29, 1, 0}, 0},
 	{"cycle", core.VCCEN, counters{1, 0, 27, 27, 0, 2, 0, 27, 0, 0}, 0},
 	{"cycle", core.VCCEG, counters{1, 0, 27, 29, 0, 0, 0, 29, 0, 0}, 0},
@@ -82,10 +82,10 @@ var pinnedCounters = []struct {
 	{"complete-bipartite", core.VCCEN, counters{4, 0, 0, 0, 52, 0, 0, 0, 0, 0}, 8},
 	{"complete-bipartite", core.VCCEG, counters{4, 0, 10, 20, 0, 0, 32, 20, 0, 0}, 8},
 	{"complete-bipartite", core.VCCEStar, counters{4, 0, 0, 0, 52, 0, 0, 0, 0, 0}, 12},
-	{"barbell", core.VCCE, counters{11, 1, 1, 137, 0, 0, 0, 67, 70, 0}, 0},
-	{"barbell", core.VCCEN, counters{11, 1, 1, 1, 60, 0, 0, 1, 0, 0}, 11},
-	{"barbell", core.VCCEG, counters{11, 1, 1, 43, 0, 0, 18, 43, 0, 0}, 15},
-	{"barbell", core.VCCEStar, counters{11, 1, 1, 1, 60, 0, 0, 1, 0, 0}, 15},
+	{"barbell", core.VCCE, counters{10, 0, 0, 130, 0, 0, 0, 60, 70, 0}, 0},
+	{"barbell", core.VCCEN, counters{10, 0, 0, 0, 60, 0, 0, 0, 0, 0}, 10},
+	{"barbell", core.VCCEG, counters{10, 0, 0, 42, 0, 0, 18, 42, 0, 0}, 14},
+	{"barbell", core.VCCEStar, counters{10, 0, 0, 0, 60, 0, 0, 0, 0, 0}, 14},
 	{"hypercube", core.VCCE, counters{3, 0, 43, 55, 0, 0, 0, 45, 10, 0}, 0},
 	{"hypercube", core.VCCEN, counters{3, 0, 23, 25, 15, 11, 0, 19, 6, 0}, 7},
 	{"hypercube", core.VCCEG, counters{3, 0, 29, 40, 0, 0, 11, 34, 6, 0}, 3},
