@@ -35,15 +35,22 @@
 // graph without case analysis. That cut is the same for every maximum
 // flow (docs/DESIGN.md, "The implicit split graph").
 //
-// # Sink-rooted levels
+// # Bidirectional levels
 //
-// Dinic's level of a node is its residual distance to the sink, found by a
-// BFS from in(v) over the reversed residual arcs that stops once out(u) is
-// labelled. The blocking-flow DFS from out(u) steps only to nodes one
-// level closer to the sink, so every node it enters lies on a shortest
-// augmenting path; its only dead ends are arcs saturated earlier in the
-// same phase. A query that ends below its limit runs one forward
-// reachability pass from out(u) to read off the source-closest cut.
+// Dinic's level of a node is its residual distance to the sink, and a
+// phase needs it only on the nodes of shortest augmenting paths. bfsLevels
+// grows two layered searches toward each other: one from in(v) over the
+// reversed residual arcs, labelling distances to the sink, and one from
+// out(u) over the forward residual arcs, labelling distances from the
+// source. Each step expands one whole layer from the side whose next
+// layer costs less, and the search stops at the first node both
+// sides reach; that fixes the distance D from source to sink, and the
+// complete source layers are relabelled D minus their depth. The
+// blocking-flow DFS from out(u) then steps only to nodes one level closer
+// to the sink, as before. Its dead ends are arcs saturated earlier in the
+// phase and source-side nodes that lead no closer to the sink. A query
+// that ends below its limit runs one forward reachability pass from
+// out(u) to read off the source-closest cut.
 //
 // Augmentation stops as soon as the flow value reaches the query's limit
 // (the algorithm only ever asks "is κ(u,v) ≥ k?"), which keeps each test in
@@ -113,8 +120,9 @@ type Network struct {
 	levelGen uint32
 	iterGen  uint32
 
-	queue []int32
-	stack []int32
+	queue  []int32 // the sink side of bfsLevels; extractCut's reached nodes
+	squeue []int32 // the source side of bfsLevels
+	stack  []int32
 
 	exclude []int32 // the vertices of the last Exclude
 
@@ -193,8 +201,9 @@ func (nw *Network) touch(v int32) {
 // Exclude takes the vertices vs out of every later query until the next
 // Exclude or NewNetworkScratch: queries then run on G − vs, and their
 // endpoints must not be in vs. bfsLevels stamps the split nodes of vs
-// dead and extractCut stamps them reached, before either search starts,
-// so neither enters them. The network keeps its own copy of vs.
+// dead, which both of its sides skip, and extractCut stamps them reached,
+// before either search starts, so no search enters them. The network
+// keeps its own copy of vs.
 func (nw *Network) Exclude(vs []int) {
 	nw.exclude = nw.exclude[:0]
 	for _, v := range vs {
@@ -251,52 +260,149 @@ func (nw *Network) MinVertexCutLimit(u, v, limit int) (cut []int, connectivity i
 	return nw.extractCut(src, value), value, false
 }
 
-// bfsLevels labels nodes with their residual distance to dst, the sink,
-// by a BFS over the reversed residual arcs (see the package comment), and
-// reports whether src is reachable. It stops as soon as src is labelled:
-// by then every node closer to the sink than src carries its level.
+// bfsLevels builds the level graph of one Dinic phase and reports whether
+// dst, the sink, is reachable from src. Two layered BFS grow toward each
+// other: the sink side from dst over the reversed residual arcs, labelling
+// each node with dt, its residual distance to the sink, and the source
+// side from src over the forward residual arcs, labelling ds, its
+// distance from the source (see the package comment). Each step expands
+// one whole layer, from the side whose next expansion costs less, and the
+// search stops at the first node the other side has labelled. A sink-side
+// layer costs the arcs it scans. A source-side layer costs twice that:
+// its nodes that lead no closer to the sink are the DFS's dead ends, and
+// the DFS scans their arcs once more.
+//
+// When the sink side holds the complete layers dt ≤ b and the source side
+// ds ≤ a, no node lies in both, so D, the distance from src to dst, is at
+// least a+b+1; the meeting node has ds ≤ a+1 and dt ≤ b, or ds ≤ a and
+// dt ≤ b+1, so D = a+1+b. The complete source layers are then relabelled
+// D − ds under the sink side's generation. A node on a shortest augmenting path
+// has ds + dt = D, so it lies in a complete layer of one side and carries
+// dt; any other node keeps a label of at most its dt, or none. A path
+// whose label falls by one at each arc therefore runs from D to the sink
+// in D arcs, a shortest augmenting path. A source layer cut short by the
+// meet stays under the source generation, unlabelled: its nodes have
+// ds = a+1 and dt > b, so none is on a shortest path, and the sink stays
+// the only node at level 0.
 func (nw *Network) bfsLevels(src, dst int32) bool {
-	// Hoist the hot arrays into locals: the queue append below would
-	// otherwise force a reload of every nw field each iteration.
-	offsets, edges, prev, next, level := nw.offsets, nw.edges, nw.prev, nw.next, nw.level
-	gen := nextGen(&nw.levelGen, level)
-	nw.stampExcluded(pack(gen, deadLevel))
-	level[dst] = pack(gen, 0)
-	queue := append(nw.queue[:0], dst)
-	defer func() { nw.queue = queue }()
-	for head := 0; head < len(queue); head++ {
-		node := queue[head]
-		lv := pack(gen, uint32(level[node])+1)
-		x := int(node >> 1)
-		if node&1 == 1 {
-			// out(x)'s one residual in-arc comes from an in node, never
-			// from the source.
-			from := inNode(x)
-			if prev[x] >= 0 {
-				from = inNode(int(next[x]))
+	level := nw.level
+	sgen := nextGen(&nw.levelGen, level)
+	tgen := nextGen(&nw.levelGen, level)
+	if tgen < sgen { // the counter wrapped and cleared level: take both after it
+		sgen, tgen = tgen, nextGen(&nw.levelGen, level)
+	}
+	nw.stampExcluded(pack(tgen, deadLevel))
+	level[src], level[dst] = pack(sgen, 0), pack(tgen, 0)
+	sq, tq := append(nw.squeue[:0], src), append(nw.queue[:0], dst)
+	defer func() { nw.squeue, nw.queue = sq, tq }()
+	// Each side's frontier, its deepest complete layer, is its queue from
+	// lo on; cost is the number of arcs expanding it scans, and the
+	// source side's counts twice (see above).
+	sLo, tLo := 0, 0
+	sCost, tCost := nw.arcs(src), nw.arcs(dst)
+	var a, b uint32
+	met := false
+	for sLo < len(sq) && tLo < len(tq) {
+		if 2*sCost <= tCost {
+			end := len(sq)
+			if sq, sCost, met = nw.expand(sq, sLo, a, sgen, tgen, true); met {
+				sq = sq[:end]
+				break
 			}
-			if !stamped(level[from], gen) {
-				level[from] = lv
-				queue = append(queue, from)
+			sLo, a = end, a+1
+		} else {
+			end := len(tq)
+			if tq, tCost, met = nw.expand(tq, tLo, b, tgen, sgen, false); met {
+				break
+			}
+			tLo, b = end, b+1
+		}
+	}
+	if !met {
+		return false
+	}
+	d := a + 1 + b
+	for _, node := range sq {
+		level[node] = pack(tgen, d-uint32(level[node]))
+	}
+	return true
+}
+
+// arcs is the number of arcs a level search scans to expand node from the
+// side on which it has its adjacency run (the far side, see expand): the
+// run plus the vertex arc.
+func (nw *Network) arcs(node int32) int {
+	x := int(node >> 1)
+	return nw.offsets[x+1] - nw.offsets[x] + 1
+}
+
+// expand labels, under generation gen at depth d+1, the nodes one residual
+// arc beyond the layer q[lo:] at depth d, appending them to q. The source
+// side (fwd) walks the residual arcs forward from its nodes, the sink side
+// backward. It returns the grown queue and the number of arcs expanding
+// the new layer will scan, or stops and reports true at the first node
+// stamped with other, the other side's generation. Excluded nodes carry
+// the sink generation's dead level, which the sink side skips as its own
+// stamp and the source side skips by value.
+//
+// On each side one parity of split node, near, has a single arc in the
+// walked direction, always to a far node: forward, in(x) → out(x) or
+// out(prev[x]); backward, out(x) ← in(x) or in(next[x]). A far node has
+// its adjacency run, to near nodes, and the arc to its twin when its
+// vertex carries flow: forward out(x) → in(x), backward in(y) ← out(y).
+func (nw *Network) expand(q []int32, lo int, d, gen, other uint32, fwd bool) ([]int32, int, bool) {
+	offsets, edges, prev, next, level := nw.offsets, nw.edges, nw.prev, nw.next, nw.level
+	lv, dead := pack(gen, d+1), pack(other, deadLevel)
+	near := int32(1)
+	if fwd {
+		near = 0
+	}
+	// visit labels to unless a side has it, and reports a meet.
+	visit := func(to int32) bool {
+		switch e := level[to]; {
+		case stamped(e, gen) || e == dead:
+		case stamped(e, other):
+			return true
+		default:
+			level[to] = lv
+			q = append(q, to)
+		}
+		return false
+	}
+	cost := 0
+	for _, node := range q[lo:] {
+		x := int(node >> 1)
+		if node&1 == near {
+			var to int32
+			switch {
+			case fwd:
+				to = inArc(prev, x)
+			case prev[x] >= 0:
+				to = inNode(int(next[x]))
+			default:
+				to = inNode(x)
+			}
+			n := len(q)
+			if visit(to) {
+				return q, 0, true
+			}
+			if len(q) > n {
+				cost += nw.arcs(to)
 			}
 			continue
 		}
-		if prev[x] >= 0 && !stamped(level[outNode(x)], gen) {
-			level[outNode(x)] = lv // the source never carries a prev
-			queue = append(queue, outNode(x))
+		n := len(q)
+		if prev[x] >= 0 && visit(node^1) {
+			return q, 0, true
 		}
 		for _, w := range edges[offsets[x]:offsets[x+1]] {
-			from := outNode(w)
-			if !stamped(level[from], gen) {
-				level[from] = lv
-				if from == src {
-					return true
-				}
-				queue = append(queue, from)
+			if visit(int32(2*w) + near) {
+				return q, 0, true
 			}
 		}
+		cost += len(q) - n
 	}
-	return false
+	return q, cost, false
 }
 
 // blockingFlow augments along the level graph until no augmenting path
@@ -313,7 +419,11 @@ func (nw *Network) blockingFlow(src, dst int32, limit int) int {
 // dfsAugment finds one augmenting path in the level graph and pushes one
 // unit along it (every path carries exactly one unit, because it crosses
 // a unit vertex arc). Iterative DFS with the standard current-arc
-// optimization; each step goes one level closer to the sink. The cursor
+// optimization; each step goes one level closer to the sink, so every
+// path it completes is a shortest augmenting path. Its dead ends are
+// arcs saturated earlier in the phase and the source-side nodes of
+// bfsLevels that lead no closer to the sink; each is removed from the
+// level graph once. The cursor
 // of out(x) runs over x's CSR run offsets[x]..offsets[x+1]-1, then the
 // slot offsets[x+1] for the reverse vertex arc out(x) → in(x); in(x) has
 // its one residual arc at slot 0. An unstamped cursor reads as the first
@@ -405,9 +515,9 @@ func (nw *Network) augment(path []int32) {
 }
 
 // extractCut returns the vertex cut of a maximum flow of value size from
-// src. The level search ran from the sink, so one forward pass marks the
-// nodes reachable from src in the residual graph under a fresh level
-// generation and lists them in nw.queue. A reachable in(v) whose out(v)
+// src. The last level search stopped at whichever side ran out first, so
+// one forward pass marks the nodes reachable from src in the residual
+// graph under a fresh level generation and lists them in nw.queue. A reachable in(v) whose out(v)
 // is unreachable is a saturated vertex arc crossing the cut; by
 // max-flow/min-cut there are exactly size of them, so the slice is
 // allocated at its final capacity. The reachable set is the same for

@@ -102,7 +102,7 @@ func FuzzMinVertexCut(f *testing.F) {
 				}
 				if atLeast {
 					if !g.HasEdge(u, v) {
-						checkFlowPaths(t, pooled, u, v, limit)
+						checkFlowPaths(t, pooled, u, v, limit, false)
 						for _, r := range excl {
 							if pooled.prev[r] >= 0 {
 								t.Fatalf("(%d,%d): excluded vertex %d carries flow", u, v, r)

@@ -67,6 +67,7 @@ func NewNetworkScratch(g *graph.Graph, bound int, s *Scratch) *Network {
 	nw.level = growUint64(nw.level, 2*n)
 	nw.iter = growUint64(nw.iter, 2*n)
 	nw.queue = nw.queue[:0]
+	nw.squeue = nw.squeue[:0]
 	nw.exclude = nw.exclude[:0]
 	return nw
 }
