@@ -18,6 +18,7 @@ type Scratch struct {
 	queue []int
 
 	blocks blockScratch // BiconnectedBlocks state
+	sides  sideScratch  // CutSidesScratch state
 }
 
 // grow ensures the buffers cover n original vertices. Growing replaces the

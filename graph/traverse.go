@@ -178,6 +178,78 @@ func (g *Graph) BiconnectedBlocks(s *Scratch) (blocks [][]int, starts []int) {
 	return blocks, starts
 }
 
+// sideScratch holds the search stack and the side layout of
+// CutSidesScratch.
+type sideScratch struct {
+	stack, size, members []int
+	sides                [][]int
+}
+
+// CutSidesScratch returns, for every connected component C of g − cut, the
+// vertex set C ∪ cut sorted ascending: the sides of an overlapped
+// partition. Sides are ordered by their smallest vertex outside the cut.
+// The vertices of cut must be distinct. The search marks vertices with s's
+// renumbering stamps and lays the sides out in buffers of their own, so
+// InducedSubgraphScratch calls with s leave the sides intact; the returned
+// slices are owned by s and valid until the next CutSidesScratch call
+// with s.
+func (g *Graph) CutSidesScratch(cut []int, s *Scratch) [][]int {
+	n := g.NumVertices()
+	s.grow(n)
+	s.gen++
+	b := &s.sides
+	// remap holds each reached vertex's side id, and -1 for the cut.
+	for _, v := range cut {
+		s.stamp[v], s.remap[v] = s.gen, -1
+	}
+	size, stack := b.size[:0], b.stack[:0]
+	for r := 0; r < n; r++ {
+		if s.stamp[r] == s.gen {
+			continue
+		}
+		id := len(size)
+		s.stamp[r], s.remap[r] = s.gen, id
+		count := 1
+		stack = append(stack[:0], r)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range g.edges[g.offsets[v]:g.offsets[v+1]] {
+				if s.stamp[w] != s.gen {
+					s.stamp[w], s.remap[w] = s.gen, id
+					count++
+					stack = append(stack, w)
+				}
+			}
+		}
+		size = append(size, count+len(cut))
+	}
+	// One ascending vertex scan lays every side out sorted, each in its
+	// capacity-capped window of one flat array; a cut vertex joins all.
+	total := 0
+	for _, c := range size {
+		total += c
+	}
+	members := reuse(&b.members, total)
+	sides := b.sides[:0]
+	off := 0
+	for _, c := range size {
+		sides = append(sides, members[off:off:off+c])
+		off += c
+	}
+	for v := 0; v < n; v++ {
+		if id := s.remap[v]; id >= 0 {
+			sides[id] = append(sides[id], v)
+			continue
+		}
+		for id := range sides {
+			sides[id] = append(sides[id], v)
+		}
+	}
+	b.size, b.stack, b.sides = size, stack, sides
+	return sides
+}
+
 // IsConnected reports whether the graph is connected. The empty graph is
 // not connected; a single vertex is.
 func (g *Graph) IsConnected() bool {

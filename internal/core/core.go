@@ -11,6 +11,13 @@
 // search; this departs from Algorithm 1, which finds each such cut with
 // GLOBAL-CUT, and leaves the k-VCCs unchanged.
 //
+// GLOBAL-CUT* settles a local connectivity test without a max flow when
+// the pair is adjacent (Lemma 5) or when it counts enough internally
+// disjoint paths of length 2 or 3 between the pair (common neighbours
+// plus a greedy matching of the remaining neighbours), which proves the
+// flow would pass. Only flow runs change; every cut, sweep and test count
+// is the one the flows alone would give. VCCE keeps the paper's GLOBAL-CUT.
+//
 // Four algorithm variants are provided, matching the paper's evaluation:
 //
 //	VCCE      - basic GLOBAL-CUT (Algorithm 2)
@@ -88,7 +95,7 @@ type Stats struct {
 	Partitions     int64 `json:"partitions"`       // overlapped partitions performed
 	BlockSplits    int64 `json:"block_splits"`     // components split at their cut vertices (k >= 2)
 	KCorePeeled    int64 `json:"kcore_peeled"`     // vertices removed by k-core reduction
-	FlowRuns       int64 `json:"flow_runs"`        // max-flow computations (non-shortcut LOC-CUT)
+	FlowRuns       int64 `json:"flow_runs"`        // max flows run: LOC-CUT tests not settled by adjacency or, in GLOBAL-CUT*, by short disjoint paths
 	LocCutTests    int64 `json:"loc_cut_tests"`    // LOC-CUT invocations (phase 1 + phase 2)
 
 	// Phase-1 vertex attribution (Table 2). For every vertex visited in
@@ -418,41 +425,14 @@ func (e *enumerator) step(g *graph.Graph, stats *Stats, ws *workspace) (children
 
 // overlapPartition implements OVERLAP-PARTITION (Algorithm 1, lines 13-18):
 // remove the cut, and return for every remaining connected component the
-// subgraph induced by the component plus the whole cut.
+// subgraph induced by the component plus the whole cut. The sides come
+// from scratch, ascending, so each extraction takes
+// InducedSubgraphScratch's monotone fast path and re-sorts no run.
 func overlapPartition(g *graph.Graph, cut []int, scratch *graph.Scratch) []*graph.Graph {
-	inCut := make([]bool, g.NumVertices())
-	for _, v := range cut {
-		inCut[v] = true
-	}
-	n := g.NumVertices()
-	seen := make([]bool, n)
-	var parts []*graph.Graph
-	stack := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		if seen[s] || inCut[s] {
-			continue
-		}
-		seen[s] = true
-		stack = append(stack[:0], s)
-		comp := []int{s}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.Neighbors(v) {
-				if !seen[w] && !inCut[w] {
-					seen[w] = true
-					comp = append(comp, w)
-					stack = append(stack, w)
-				}
-			}
-		}
-		comp = append(comp, cut...)
-		// Ascending vertex lists hit InducedSubgraphScratch's monotone
-		// fast path: the renumbering preserves run order, so no adjacency
-		// run is ever re-sorted. One small sort here replaces one sort
-		// per vertex there.
-		sort.Ints(comp)
-		parts = append(parts, g.InducedSubgraphScratch(comp, scratch))
+	sides := g.CutSidesScratch(cut, scratch)
+	parts := make([]*graph.Graph, len(sides))
+	for i, side := range sides {
+		parts[i] = g.InducedSubgraphScratch(side, scratch)
 	}
 	return parts
 }

@@ -103,13 +103,30 @@ type cutFinder struct {
 	excl   []int // phase 2: the removed set R_i
 	need   []int // phase 2: a round's partners that need a flow
 
-	// Neighborhood membership stamps for the SSV pairwise test and the
-	// phase-2 pair rules. Stamps only ever hold generations already issued
-	// (or 0), so growing the buffer within capacity across components is
-	// safe: a strictly increasing counter can never collide with a
-	// re-exposed stale stamp.
+	// Neighborhood membership stamps for the SSV pairwise test. Stamps
+	// only ever hold generations already issued (or 0), so growing the
+	// buffer within capacity across components is safe: a strictly
+	// increasing counter can never collide with a re-exposed stale stamp.
 	nbStamp []int64
 	nbGen   int64
+
+	// Short-path stamps (shortPathsAtLeast), apart from nbStamp because
+	// SSV tests run between the phase-1 tests of one source. For the
+	// source a and set R of the last setSource, srcStamp[w] is srcGen when
+	// w ∈ N(a) − R and srcGen+1 when w ∈ R; pathStamp[w] is pathGen once
+	// the current query has put w on a path. The same stale-stamp argument
+	// holds.
+	srcStamp, pathStamp []int64
+	srcGen, pathGen     int64
+}
+
+// growStamps reslices s to length n, reallocating (zeroed) only when the
+// capacity is insufficient; see nbStamp for why stale stamps are safe.
+func growStamps(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	return s[:n]
 }
 
 // growClear reslices s to length n with every element zeroed,
@@ -138,11 +155,9 @@ func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, stats *Stats) {
 	cf.pru = growClear(cf.pru, n)
 	cf.cause = growClear(cf.cause, n)
 	cf.deposit = growClear(cf.deposit, n)
-	if cap(cf.nbStamp) < n {
-		cf.nbStamp = make([]int64, n)
-	} else {
-		cf.nbStamp = cf.nbStamp[:n]
-	}
+	cf.nbStamp = growStamps(cf.nbStamp, n)
+	cf.srcStamp = growStamps(cf.srcStamp, n)
+	cf.pathStamp = growStamps(cf.pathStamp, n)
 }
 
 // setCertificate primes the state that needs g's sparse certificate: the
@@ -200,15 +215,20 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, stats *Stats, ws *workspac
 	// vertex set splits g and SC alike, so the flow on g returns the
 	// verdict and the source-closest cut the flow on SC would. An SSV
 	// source skips this: its seed sweep may prune order[0] untested.
-	probe = probe && !g.HasEdge(u, order[0])
+	// Every test from u, this one included, first counts short disjoint
+	// paths on g, and runs a flow only if they fall short of k.
+	cf.setSource(u, nil)
+	probe = probe && !cf.adjacent(order[0])
 	if probe {
 		stats.LocCutTests++
 		stats.TestedNonPrune++
-		nw := flow.NewNetworkScratch(g, e.k, &ws.flow)
-		cut, _, atLeast := nw.MinVertexCut(u, order[0])
-		stats.FlowRuns += nw.FlowRuns
-		if !atLeast {
-			return cut
+		if !cf.shortPathsAtLeast(order[0], e.k) {
+			nw := flow.NewNetworkScratch(g, e.k, &ws.flow)
+			cut, _, atLeast := nw.MinVertexCut(u, order[0])
+			stats.FlowRuns += nw.FlowRuns
+			if !atLeast {
+				return cut
+			}
 		}
 	}
 	cf.setCertificate(sparse.ComputeScratch(g, e.k, &ws.sparse), &ws.flow)
@@ -231,7 +251,9 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, stats *Stats, ws *workspac
 		}
 		stats.LocCutTests++
 		stats.TestedNonPrune++
-		if !cf.g.HasEdge(u, v) { // Lemma 5 shortcut on the full component
+		// Lemma 5 and the short paths settle the test on the full
+		// component; the flow runs on SC.
+		if !cf.adjacent(v) && !cf.shortPathsAtLeast(v, cf.k) {
 			if cut, _, atLeast := cf.nw.MinVertexCut(u, v); !atLeast {
 				return cut
 			}
@@ -254,12 +276,14 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, stats *Stats, ws *workspac
 // T[i] against every later T[j] in SC − R_i, R_i = {u, T[0..i−1]}, with
 // flow limit k−1−i. A passing round puts T[i] into every cut, and after
 // round min(|T|−4, k−2) no cut is left. A pair needs no flow when it is
-// adjacent, lies in one side group (group sweep rule 3), or has at least
-// k−1−i common neighbours outside R_i; and the last pair of a round that
-// still needs a flow is left untested, because a side without T[i] would
-// hold two of the round's partners. A failing pair returns its
-// source-closest cut plus R_i, which is the cut the all-pairs loop of
-// Algorithm 3 returns for its first failing pair.
+// adjacent, lies in one side group (group sweep rule 3), or is joined by
+// at least k−1−i internally disjoint paths of length 2 or 3 in g − R_i
+// (shortPathsAtLeast); and the last pair of a round that still needs a
+// flow is left untested, because a side without T[i] would hold two of
+// the round's partners. Only passing pairs leave the need list, so its
+// first failing partner is the same as with every pair in it. A failing
+// pair returns its source-closest cut plus R_i, which is the cut the
+// all-pairs loop of Algorithm 3 returns for its first failing pair.
 func (cf *cutFinder) eliminate(u int) []int {
 	t := cf.sc.Neighbors(u)
 	excl := append(cf.excl[:0], u)
@@ -267,16 +291,7 @@ func (cf *cutFinder) eliminate(u int) []int {
 	for i := 0; i <= min(len(t)-4, cf.k-2); i++ {
 		a, limit := t[i], cf.k-1-i
 		cf.nw.Exclude(excl)
-		// Stamp N(a) − R_i: adjacency to a is then one lookup, and the
-		// common-neighbour count one early-exiting scan of N(b).
-		cf.nbGen++
-		gen := cf.nbGen
-		for _, w := range cf.g.Neighbors(a) {
-			cf.nbStamp[w] = gen
-		}
-		for _, r := range excl {
-			cf.nbStamp[r] = 0
-		}
+		cf.setSource(a, excl)
 		need := cf.need[:0]
 		for _, b := range t[i+1:] {
 			if cf.useGS && cf.groupID[a] >= 0 && cf.groupID[a] == cf.groupID[b] {
@@ -285,7 +300,7 @@ func (cf *cutFinder) eliminate(u int) []int {
 			}
 			cf.stats.LocCutTests++
 			cf.stats.Phase2Pairs++
-			if cf.nbStamp[b] != gen && !cf.hasCommon(b, gen, limit) {
+			if !cf.adjacent(b) && !cf.shortPathsAtLeast(b, limit) {
 				need = append(need, b)
 			}
 		}
@@ -302,12 +317,62 @@ func (cf *cutFinder) eliminate(u int) []int {
 	return nil
 }
 
-// hasCommon reports whether b has at least c neighbours stamped with gen.
-func (cf *cutFinder) hasCommon(b int, gen int64, c int) bool {
+// setSource stamps N(a) − R and R for adjacent and shortPathsAtLeast,
+// which then test pairs (a, b) in g − R.
+func (cf *cutFinder) setSource(a int, r []int) {
+	cf.srcGen += 2
+	for _, w := range cf.g.Neighbors(a) {
+		cf.srcStamp[w] = cf.srcGen
+	}
+	for _, w := range r {
+		cf.srcStamp[w] = cf.srcGen + 1
+	}
+}
+
+// adjacent reports whether b, outside R, is a neighbour of the source.
+func (cf *cutFinder) adjacent(b int) bool { return cf.srcStamp[b] == cf.srcGen }
+
+// shortPathsAtLeast reports whether g − R holds at least limit internally
+// vertex-disjoint paths of length 2 or 3 between the source a and b, a
+// vertex outside R and not adjacent to a (docs/DESIGN.md, "Short paths
+// before a flow"). It counts every common neighbour w (the path a–w–b),
+// then greedily matches each other neighbour y of b to a neighbour x of a
+// not yet on a path (the path a–x–y–b). Such paths share no inner
+// vertex, so by Menger's theorem κ(a, b) in g − R is at least their
+// number: a "yes" settles a test the flow would pass, and a "no" proves
+// nothing.
+func (cf *cutFinder) shortPathsAtLeast(b, limit int) bool {
+	nbr, inR := cf.srcGen, cf.srcGen+1
+	cf.pathGen++
+	used := cf.pathGen
+	count, ends := 0, 0
 	for _, w := range cf.g.Neighbors(b) {
-		if cf.nbStamp[w] == gen {
-			if c--; c == 0 {
+		switch cf.srcStamp[w] {
+		case nbr:
+			if count++; count >= limit {
 				return true
+			}
+			cf.pathStamp[w] = used
+		case inR:
+		default:
+			ends++
+		}
+	}
+	for _, y := range cf.g.Neighbors(b) {
+		if count+ends < limit {
+			return false
+		}
+		if s := cf.srcStamp[y]; s == nbr || s == inR {
+			continue
+		}
+		ends--
+		for _, x := range cf.g.Neighbors(y) {
+			if cf.srcStamp[x] == nbr && cf.pathStamp[x] != used {
+				cf.pathStamp[x] = used
+				if count++; count >= limit {
+					return true
+				}
+				break
 			}
 		}
 	}

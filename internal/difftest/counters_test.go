@@ -36,39 +36,39 @@ var pinnedCounters = []struct {
 }{
 	{"gnp-sparse", core.VCCE, counters{3, 0, 120, 140, 0, 0, 0, 130, 10, 0}, 0},
 	{"gnp-sparse", core.VCCEN, counters{3, 0, 31, 34, 3, 96, 0, 31, 3, 0}, 1},
-	{"gnp-sparse", core.VCCEG, counters{3, 0, 52, 58, 0, 0, 75, 55, 3, 0}, 1},
+	{"gnp-sparse", core.VCCEG, counters{3, 0, 49, 58, 0, 0, 75, 55, 3, 0}, 1},
 	{"gnp-sparse", core.VCCEStar, counters{3, 0, 22, 25, 3, 34, 71, 22, 3, 0}, 1},
 	{"gnp-dense", core.VCCE, counters{7, 0, 215, 353, 0, 0, 0, 269, 84, 0}, 0},
-	{"gnp-dense", core.VCCEN, counters{7, 0, 57, 110, 31, 193, 0, 45, 65, 0}, 7},
-	{"gnp-dense", core.VCCEG, counters{7, 0, 90, 119, 0, 0, 180, 89, 30, 35}, 2},
-	{"gnp-dense", core.VCCEStar, counters{7, 0, 49, 72, 16, 54, 157, 42, 30, 35}, 2},
+	{"gnp-dense", core.VCCEN, counters{7, 0, 9, 110, 31, 193, 0, 45, 65, 0}, 7},
+	{"gnp-dense", core.VCCEG, counters{7, 0, 18, 119, 0, 0, 180, 89, 30, 35}, 2},
+	{"gnp-dense", core.VCCEStar, counters{7, 0, 9, 72, 16, 54, 157, 42, 30, 35}, 2},
 	{"gnm", core.VCCE, counters{4, 0, 215, 249, 0, 0, 0, 229, 20, 0}, 0},
-	{"gnm", core.VCCEN, counters{4, 0, 38, 43, 4, 192, 0, 33, 10, 0}, 1},
-	{"gnm", core.VCCEG, counters{4, 0, 71, 80, 0, 0, 156, 73, 7, 3}, 1},
-	{"gnm", core.VCCEStar, counters{4, 0, 26, 29, 4, 52, 151, 22, 7, 3}, 1},
+	{"gnm", core.VCCEN, counters{4, 0, 30, 43, 4, 192, 0, 33, 10, 0}, 1},
+	{"gnm", core.VCCEG, counters{4, 0, 59, 80, 0, 0, 156, 73, 7, 3}, 1},
+	{"gnm", core.VCCEStar, counters{4, 0, 21, 29, 4, 52, 151, 22, 7, 3}, 1},
 	{"barabasi-albert", core.VCCE, counters{3, 0, 145, 172, 0, 0, 0, 162, 10, 0}, 0},
 	{"barabasi-albert", core.VCCEN, counters{3, 0, 0, 0, 15, 147, 0, 0, 0, 0}, 8},
-	{"barabasi-albert", core.VCCEG, counters{3, 0, 7, 11, 0, 0, 151, 11, 0, 0}, 3},
+	{"barabasi-albert", core.VCCEG, counters{3, 0, 5, 11, 0, 0, 151, 11, 0, 0}, 3},
 	{"barabasi-albert", core.VCCEStar, counters{3, 0, 0, 0, 12, 5, 145, 0, 0, 0}, 5},
 	{"web-copying", core.VCCE, counters{3, 0, 213, 247, 0, 0, 0, 237, 10, 0}, 0},
-	{"web-copying", core.VCCEN, counters{3, 0, 9, 12, 5, 223, 0, 9, 3, 0}, 2},
-	{"web-copying", core.VCCEG, counters{3, 0, 22, 25, 0, 0, 213, 24, 1, 2}, 1},
-	{"web-copying", core.VCCEStar, counters{3, 0, 5, 6, 4, 18, 210, 5, 1, 2}, 1},
+	{"web-copying", core.VCCEN, counters{3, 0, 6, 12, 5, 223, 0, 9, 3, 0}, 2},
+	{"web-copying", core.VCCEG, counters{3, 0, 12, 25, 0, 0, 213, 24, 1, 2}, 1},
+	{"web-copying", core.VCCEStar, counters{3, 0, 4, 6, 4, 18, 210, 5, 1, 2}, 1},
 	{"planted", core.VCCE, counters{35, 13, 333, 942, 0, 0, 0, 650, 292, 0}, 0},
 	{"planted", core.VCCEN, counters{35, 13, 39, 39, 288, 171, 0, 39, 0, 0}, 75},
-	{"planted", core.VCCEG, counters{35, 13, 103, 226, 0, 0, 272, 226, 0, 0}, 56},
+	{"planted", core.VCCEG, counters{35, 13, 74, 226, 0, 0, 272, 226, 0, 0}, 56},
 	{"planted", core.VCCEStar, counters{35, 13, 39, 39, 279, 57, 123, 39, 0, 0}, 85},
 	{"planted-dense", core.VCCE, counters{32, 12, 187, 944, 0, 0, 0, 524, 420, 0}, 0},
-	{"planted-dense", core.VCCEN, counters{32, 12, 17, 17, 282, 96, 0, 17, 0, 0}, 68},
-	{"planted-dense", core.VCCEG, counters{32, 12, 53, 201, 0, 0, 194, 201, 0, 0}, 43},
-	{"planted-dense", core.VCCEStar, counters{32, 12, 16, 16, 250, 24, 105, 16, 0, 0}, 67},
+	{"planted-dense", core.VCCEN, counters{32, 12, 16, 17, 282, 96, 0, 17, 0, 0}, 68},
+	{"planted-dense", core.VCCEG, counters{32, 12, 25, 201, 0, 0, 194, 201, 0, 0}, 43},
+	{"planted-dense", core.VCCEStar, counters{32, 12, 15, 16, 250, 24, 105, 16, 0, 0}, 67},
 	{"clique-chain-subk-overlap", core.VCCE, counters{29, 12, 52, 414, 0, 0, 0, 255, 159, 0}, 0},
 	{"clique-chain-subk-overlap", core.VCCEN, counters{29, 12, 12, 12, 159, 0, 0, 12, 0, 0}, 37},
 	{"clique-chain-subk-overlap", core.VCCEG, counters{29, 12, 14, 100, 0, 0, 71, 100, 0, 0}, 36},
 	{"clique-chain-subk-overlap", core.VCCEStar, counters{29, 12, 12, 12, 134, 0, 25, 12, 0, 0}, 41},
 	{"two-cliques-exact-overlap", core.VCCE, counters{9, 2, 14, 137, 0, 0, 0, 77, 60, 0}, 0},
 	{"two-cliques-exact-overlap", core.VCCEN, counters{9, 2, 2, 2, 61, 0, 0, 2, 0, 0}, 12},
-	{"two-cliques-exact-overlap", core.VCCEG, counters{9, 2, 5, 36, 0, 0, 27, 36, 0, 0}, 12},
+	{"two-cliques-exact-overlap", core.VCCEG, counters{9, 2, 2, 36, 0, 0, 27, 36, 0, 0}, 12},
 	{"two-cliques-exact-overlap", core.VCCEStar, counters{9, 2, 2, 2, 61, 0, 0, 2, 0, 0}, 14},
 	{"two-cliques-cut-vertex", core.VCCE, counters{8, 0, 0, 80, 0, 0, 0, 40, 40, 0}, 0},
 	{"two-cliques-cut-vertex", core.VCCEN, counters{8, 0, 0, 0, 40, 0, 0, 0, 0, 0}, 8},
@@ -80,16 +80,16 @@ var pinnedCounters = []struct {
 	{"cycle", core.VCCEStar, counters{1, 0, 27, 27, 0, 2, 0, 27, 0, 0}, 0},
 	{"complete-bipartite", core.VCCE, counters{4, 0, 40, 72, 0, 0, 0, 52, 20, 0}, 0},
 	{"complete-bipartite", core.VCCEN, counters{4, 0, 0, 0, 52, 0, 0, 0, 0, 0}, 8},
-	{"complete-bipartite", core.VCCEG, counters{4, 0, 10, 20, 0, 0, 32, 20, 0, 0}, 8},
+	{"complete-bipartite", core.VCCEG, counters{4, 0, 0, 20, 0, 0, 32, 20, 0, 0}, 8},
 	{"complete-bipartite", core.VCCEStar, counters{4, 0, 0, 0, 52, 0, 0, 0, 0, 0}, 12},
 	{"barbell", core.VCCE, counters{10, 0, 0, 130, 0, 0, 0, 60, 70, 0}, 0},
 	{"barbell", core.VCCEN, counters{10, 0, 0, 0, 60, 0, 0, 0, 0, 0}, 10},
 	{"barbell", core.VCCEG, counters{10, 0, 0, 42, 0, 0, 18, 42, 0, 0}, 14},
 	{"barbell", core.VCCEStar, counters{10, 0, 0, 0, 60, 0, 0, 0, 0, 0}, 14},
 	{"hypercube", core.VCCE, counters{3, 0, 43, 55, 0, 0, 0, 45, 10, 0}, 0},
-	{"hypercube", core.VCCEN, counters{3, 0, 23, 25, 15, 11, 0, 19, 6, 0}, 7},
-	{"hypercube", core.VCCEG, counters{3, 0, 29, 40, 0, 0, 11, 34, 6, 0}, 3},
-	{"hypercube", core.VCCEStar, counters{3, 0, 23, 25, 13, 11, 2, 19, 6, 0}, 5},
+	{"hypercube", core.VCCEN, counters{3, 0, 19, 25, 15, 11, 0, 19, 6, 0}, 7},
+	{"hypercube", core.VCCEG, counters{3, 0, 23, 40, 0, 0, 11, 34, 6, 0}, 3},
+	{"hypercube", core.VCCEStar, counters{3, 0, 19, 25, 13, 11, 2, 19, 6, 0}, 5},
 	{"wheel", core.VCCE, counters{2, 0, 17, 26, 0, 0, 0, 22, 4, 0}, 0},
 	{"wheel", core.VCCEN, counters{2, 0, 8, 8, 11, 3, 0, 8, 0, 0}, 9},
 	{"wheel", core.VCCEG, counters{2, 0, 8, 12, 0, 0, 10, 12, 0, 0}, 1},
