@@ -11,12 +11,17 @@
 // search; this departs from Algorithm 1, which finds each such cut with
 // GLOBAL-CUT, and leaves the k-VCCs unchanged.
 //
-// GLOBAL-CUT* settles a local connectivity test without a max flow when
+// GLOBAL-CUT* runs every max flow on the component itself, where the
+// paper runs them on its sparse certificate SC; below k a vertex set
+// splits both graphs alike, so every verdict and cut is the same, and the
+// certificate is built only as forests, for phase 2's terminals and the
+// side groups. It settles a local connectivity test without a flow when
 // the pair is adjacent (Lemma 5) or when it counts enough internally
 // disjoint paths of length 2 or 3 between the pair (common neighbours
 // plus a greedy matching of the remaining neighbours), which proves the
 // flow would pass. Only flow runs change; every cut, sweep and test count
-// is the one the flows alone would give. VCCE keeps the paper's GLOBAL-CUT.
+// is the one the flows alone would give. VCCE keeps the paper's
+// GLOBAL-CUT, with its flows on SC.
 //
 // Four algorithm variants are provided, matching the paper's evaluation:
 //
@@ -111,7 +116,7 @@ type Stats struct {
 
 	SSVDetected int64 `json:"ssv_detected"` // strong side-vertices found by the pairwise test
 
-	CutFallbacks int64 `json:"cut_fallbacks"` // defensive re-computations of an invalid cut (expect 0)
+	CutFallbacks int64 `json:"cut_fallbacks"` // VCCE cuts on SC that failed to split the component, recomputed (expect 0)
 	PeakBytes    int64 `json:"peak_bytes"`    // peak structural bytes held by queued subgraphs + results
 
 	// Always 0 (Dinic is the only flow engine); kept because kvccbench/layers.go reads it.
@@ -340,10 +345,11 @@ func (e *enumerator) run(seed []*graph.Graph, stats *Stats) []*graph.Graph {
 // k >= 2 the component split is one biconnected-block pass: a component
 // without a cut vertex goes to the cut search, and one with a cut vertex
 // is replaced by its blocks of more than k vertices, queued as children
-// with no cut search. It returns the child subgraphs and any k-VCCs found. The workspace is reused
-// for every subgraph extraction, certificate, and flow network in this
-// step (and across the caller's steps), which keeps the hot recursion at
-// a constant number of allocations per extracted subgraph.
+// with no cut search. It returns the child subgraphs and any k-VCCs
+// found. The workspace is reused for every subgraph extraction,
+// certificate, and flow network in this step (and across the caller's
+// steps), which keeps the hot recursion at a constant number of
+// allocations per extracted subgraph.
 func (e *enumerator) step(g *graph.Graph, stats *Stats, ws *workspace) (children, vccs []*graph.Graph) {
 	scratch := &ws.graph
 	cored, peeled := kcore.ReduceScratch(g, e.k, scratch)
@@ -403,9 +409,10 @@ func (e *enumerator) step(g *graph.Graph, stats *Stats, ws *workspace) (children
 		}
 		parts := overlapPartition(sub, cut, scratch)
 		if len(parts) < 2 {
-			// The cut failed to disconnect the component. With a correct
-			// sparse certificate this cannot happen; recompute the cut on
-			// the raw graph as a defensive fallback.
+			// The cut failed to disconnect the component. GLOBAL-CUT*
+			// finds every cut on the component itself, so only a fault in
+			// VCCE's flows on the sparse certificate can get here;
+			// recompute the cut on the raw graph as a defensive fallback.
 			stats.CutFallbacks++
 			cut = e.findCutBasic(sub, sub, stats, ws)
 			if cut == nil {

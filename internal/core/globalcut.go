@@ -12,8 +12,9 @@ import (
 // k vertices. It returns nil if the component is k-connected. VCCE keeps
 // the paper's order: it builds the component's sparse certificate
 // (Theorem 5) and runs every flow test on it. The sweep variants run
-// GLOBAL-CUT*, which runs its first phase-1 test on the component itself
-// and builds the certificate only if that test passes (findCutOptimized).
+// GLOBAL-CUT*, which runs every flow test on the component itself and
+// builds only the certificate's forests, and only if its first phase-1
+// test passes (findCutOptimized).
 func (e *enumerator) findCut(g *graph.Graph, stats *Stats, ws *workspace) []int {
 	if e.opts.Algorithm == VCCE {
 		return e.findCutBasic(g, sparse.ComputeScratch(g, e.k, &ws.sparse).SC, stats, ws)
@@ -27,8 +28,9 @@ func (e *enumerator) findCut(g *graph.Graph, stats *Stats, ws *workspace) []int 
 // neighbors (phase 2, Lemma 4). It is the paper's baseline: GLOBAL-CUT*
 // replaces its phase 2 with terminal elimination (eliminate), and this
 // all-pairs loop stays as stated. VCCE passes g's sparse certificate as
-// sc; the defensive fallback in step passes g itself, so any cut it finds
-// is a cut of the component by construction.
+// sc; the defensive fallback in step, which guards those flows on SC,
+// passes g itself, so any cut it finds is a cut of the component by
+// construction.
 func (e *enumerator) findCutBasic(g, sc *graph.Graph, stats *Stats, ws *workspace) []int {
 	nw := flow.NewNetworkScratch(sc, e.k, &ws.flow)
 	defer func() { stats.FlowRuns += nw.FlowRuns }()
@@ -78,10 +80,10 @@ const (
 // reset, so its buffers warm up to the largest component a worker sees
 // and the per-component cost is clearing, not allocating.
 type cutFinder struct {
-	g  *graph.Graph // the component (sweeps, deposits, SSV tests)
-	sc *graph.Graph // sparse certificate (flow tests, phase-2 neighbors)
+	g  *graph.Graph  // the component: sweeps, SSV tests and every flow
+	nw *flow.Network // the flow network on g
 	k  int
-	nw *flow.Network
+	t  []int // phase 2's terminals N_SC(u), ascending
 
 	useNS, useGS bool
 
@@ -141,12 +143,13 @@ func growClear[T bool | int | int8 | uint8](s []T, n int) []T {
 }
 
 // reset primes cf for a new component with the state that reads only g:
-// the SSV memo, the sweep marks and deposits, and the neighbourhood stamps.
-// The certificate's state comes later, from setCertificate.
-func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, stats *Stats) {
+// the flow network on g (in fs), the SSV memo, the sweep marks and
+// deposits, and the neighbourhood stamps. The certificate's state comes
+// later, from setCertificate.
+func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, stats *Stats, fs *flow.Scratch) {
 	n := g.NumVertices()
 	cf.g = g
-	cf.sc, cf.nw = nil, nil
+	cf.nw = flow.NewNetworkScratch(g, e.k, fs)
 	cf.k = e.k
 	cf.useNS = e.opts.Algorithm.neighborSweep()
 	cf.useGS = e.opts.Algorithm.groupSweep()
@@ -160,11 +163,21 @@ func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, stats *Stats) {
 	cf.pathStamp = growStamps(cf.pathStamp, n)
 }
 
-// setCertificate primes the state that needs g's sparse certificate: the
-// flow network on SC and, with the group sweep, the side groups.
-func (cf *cutFinder) setCertificate(cert *sparse.Certificate, fs *flow.Scratch) {
-	cf.sc = cert.SC
-	cf.nw = flow.NewNetworkScratch(cert.SC, cf.k, fs)
+// setCertificate primes the state that needs g's certificate forests:
+// phase 2's terminals T = N_SC(u), read from the forest edges at the
+// source u, and, with the group sweep, the side groups.
+func (cf *cutFinder) setCertificate(cert *sparse.Certificate, u int) {
+	t := cf.t[:0]
+	for _, e := range cert.Edges {
+		switch u {
+		case e[0]:
+			t = append(t, e[1])
+		case e[1]:
+			t = append(t, e[0])
+		}
+	}
+	sort.Ints(t)
+	cf.t = t
 	if cf.useGS {
 		cf.groupID = cert.GroupID
 		cf.groups = cert.SideGroups
@@ -176,18 +189,15 @@ func (cf *cutFinder) setCertificate(cert *sparse.Certificate, fs *flow.Scratch) 
 }
 
 // findCutOptimized is GLOBAL-CUT* (Algorithm 3) with the sweep strategies
-// selected by the algorithm variant. It builds g's sparse certificate
-// itself, and only when a cut has not turned up first: when no strong
-// side-vertex is found as the source, the first phase-1 test runs on g
-// (docs/DESIGN.md, "The first phase-1 test before the certificate").
+// selected by the algorithm variant. Every flow runs on g, and the
+// certificate's forests are built only when a cut has not turned up
+// first: when no strong side-vertex is found as the source, the first
+// phase-1 test runs before them (docs/DESIGN.md, "Every GLOBAL-CUT* flow
+// runs on G").
 func (e *enumerator) findCutOptimized(g *graph.Graph, stats *Stats, ws *workspace) []int {
 	cf := &ws.cf
-	cf.reset(e, g, stats)
-	defer func() {
-		if cf.nw != nil {
-			stats.FlowRuns += cf.nw.FlowRuns
-		}
-	}()
+	cf.reset(e, g, stats, &ws.flow)
+	defer func() { stats.FlowRuns += cf.nw.FlowRuns }()
 
 	// Source selection (Algorithm 3, lines 4-7): prefer a strong
 	// side-vertex, since the source then cannot belong to any qualified
@@ -211,27 +221,22 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, stats *Stats, ws *workspac
 	// from the source.
 	order := cf.orderByDistance(g.BFSDistancesScratch(u, &ws.graph), u)
 
-	// The first test runs on g, before the certificate exists. Below k a
-	// vertex set splits g and SC alike, so the flow on g returns the
-	// verdict and the source-closest cut the flow on SC would. An SSV
-	// source skips this: its seed sweep may prune order[0] untested.
-	// Every test from u, this one included, first counts short disjoint
-	// paths on g, and runs a flow only if they fall short of k.
+	// The first test runs before the forests exist. An SSV source skips
+	// this: its seed sweep may prune order[0] untested. Every test from u,
+	// this one included, first counts short disjoint paths, and runs a
+	// flow only if they fall short of k.
 	cf.setSource(u, nil)
 	probe = probe && !cf.adjacent(order[0])
 	if probe {
 		stats.LocCutTests++
 		stats.TestedNonPrune++
 		if !cf.shortPathsAtLeast(order[0], e.k) {
-			nw := flow.NewNetworkScratch(g, e.k, &ws.flow)
-			cut, _, atLeast := nw.MinVertexCut(u, order[0])
-			stats.FlowRuns += nw.FlowRuns
-			if !atLeast {
+			if cut, _, atLeast := cf.nw.MinVertexCut(u, order[0]); !atLeast {
 				return cut
 			}
 		}
 	}
-	cf.setCertificate(sparse.ComputeScratch(g, e.k, &ws.sparse), &ws.flow)
+	cf.setCertificate(sparse.ForestsScratch(g, e.k, &ws.sparse), u)
 	cf.sweep(u, causeSeed)
 	if probe {
 		cf.sweep(order[0], causeTested)
@@ -251,8 +256,7 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, stats *Stats, ws *workspac
 		}
 		stats.LocCutTests++
 		stats.TestedNonPrune++
-		// Lemma 5 and the short paths settle the test on the full
-		// component; the flow runs on SC.
+		// Lemma 5 and the short paths settle the test without a flow.
 		if !cf.adjacent(v) && !cf.shortPathsAtLeast(v, cf.k) {
 			if cut, _, atLeast := cf.nw.MinVertexCut(u, v); !atLeast {
 				return cut
@@ -273,7 +277,7 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, stats *Stats, ws *workspac
 // (docs/DESIGN.md, "Phase 2 by terminal elimination"). Phase 1 has passed
 // from u, so every cut of fewer than k vertices contains u, and each side
 // of such a cut holds at least two vertices of T = N_SC(u). Round i tests
-// T[i] against every later T[j] in SC − R_i, R_i = {u, T[0..i−1]}, with
+// T[i] against every later T[j] in g − R_i, R_i = {u, T[0..i−1]}, with
 // flow limit k−1−i. A passing round puts T[i] into every cut, and after
 // round min(|T|−4, k−2) no cut is left. A pair needs no flow when it is
 // adjacent, lies in one side group (group sweep rule 3), or is joined by
@@ -283,9 +287,10 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, stats *Stats, ws *workspac
 // the round's partners. Only passing pairs leave the need list, so its
 // first failing partner is the same as with every pair in it. A failing
 // pair returns its source-closest cut plus R_i, which is the cut the
-// all-pairs loop of Algorithm 3 returns for its first failing pair.
+// all-pairs loop of Algorithm 3 on SC returns for its first failing pair:
+// below the limit, g − R_i and SC − R_i have the same minimum separators.
 func (cf *cutFinder) eliminate(u int) []int {
-	t := cf.sc.Neighbors(u)
+	t := cf.t
 	excl := append(cf.excl[:0], u)
 	defer func() { cf.excl = excl }()
 	for i := 0; i <= min(len(t)-4, cf.k-2); i++ {

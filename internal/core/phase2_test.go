@@ -232,8 +232,8 @@ func TestEliminateMatchesAllPairs(t *testing.T) {
 				var ws workspace
 				cert := sparse.ComputeScratch(g, k, &ws.sparse)
 				want := allPairsCut(g, cert, k, algo.groupSweep(), u)
-				ws.cf.reset(e, g, &Stats{})
-				ws.cf.setCertificate(cert, &ws.flow)
+				ws.cf.reset(e, g, &Stats{}, &ws.flow)
+				ws.cf.setCertificate(cert, u)
 				got := ws.cf.eliminate(u)
 				if !slices.Equal(got, want) {
 					t.Fatalf("trial %d k=%d %v u=%d: elimination cut %v, all-pairs cut %v", trial, k, algo, u, got, want)

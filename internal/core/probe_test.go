@@ -72,7 +72,8 @@ func petersen() *graph.Graph {
 // and are joined by 0–4–3–2 and 0–5–7–2, so it passes with no flow and the
 // certificate is built after it. Every later phase-1 test is adjacent or
 // has its three short paths too, and with |N_SC(0)| = 3 phase 2 has no
-// round, so the whole search runs no flow.
+// round, so the whole search runs no flow. Only the certificate's forests
+// are built: SC's graph, whose CSR fills ws.sparse's fill scratch, is not.
 func TestProbeSettledByShortPaths(t *testing.T) {
 	const k = 3
 	g := petersen()
@@ -92,6 +93,9 @@ func TestProbeSettledByShortPaths(t *testing.T) {
 		}
 		if reflect.ValueOf(ws.sparse).IsZero() {
 			t.Fatalf("%v: the certificate was not built after the probe passed", tc.algo)
+		}
+		if !reflect.ValueOf(ws.sparse).FieldByName("fill").IsZero() {
+			t.Fatalf("%v: SC's graph was built", tc.algo)
 		}
 		if *stats != tc.want {
 			t.Fatalf("%v: stats %+v, want %+v and no flow", tc.algo, *stats, tc.want)

@@ -42,12 +42,13 @@ func randomGraph(rng *rand.Rand, n int, p float64) *graph.Graph {
 
 // checkShortPaths tests every pair (a, b) with b outside r and not adjacent
 // to a, under one setSource, at the given limit: when shortPathsAtLeast
-// says yes, the flow on g − r must reach the limit. An SSV test runs
+// says yes, the flow on g − r, run on the cut finder's own network, must
+// reach the limit. An SSV test runs
 // between queries, as the sweeps run one between phase-1 tests. It
 // returns how many pairs the helper settled and how many the flow passed.
-func checkShortPaths(t *testing.T, cf *cutFinder, nw *flow.Network, a int, r []int, limit int) (settled, passed int) {
+func checkShortPaths(t *testing.T, cf *cutFinder, a int, r []int, limit int) (settled, passed int) {
 	t.Helper()
-	g := cf.g
+	g, nw := cf.g, cf.nw
 	inR := make([]bool, g.NumVertices())
 	for _, v := range r {
 		inR[v] = true
@@ -101,8 +102,7 @@ func TestShortPathsSound(t *testing.T) {
 		k := 1 + rng.Intn(12)
 		e := &enumerator{k: k, opts: Options{Algorithm: VCCEStar}}
 		var cf cutFinder
-		cf.reset(e, g, &Stats{})
-		nw := flow.NewNetwork(g, k)
+		cf.reset(e, g, &Stats{}, &flow.Scratch{})
 		for range 3 {
 			a := rng.Intn(n)
 			r := make([]int, 0, k)
@@ -111,7 +111,7 @@ func TestShortPathsSound(t *testing.T) {
 					r = append(r, v)
 				}
 			}
-			s, p := checkShortPaths(t, &cf, nw, a, r, 1+rng.Intn(k))
+			s, p := checkShortPaths(t, &cf, a, r, 1+rng.Intn(k))
 			settled += s
 			passed += p
 		}
@@ -150,7 +150,7 @@ func FuzzShortPaths(f *testing.F) {
 		limit := 1 + int(lim)%k
 		e := &enumerator{k: k, opts: Options{Algorithm: VCCEStar}}
 		var cf cutFinder
-		cf.reset(e, g, &Stats{})
-		checkShortPaths(t, &cf, flow.NewNetwork(g, k), a, r, limit)
+		cf.reset(e, g, &Stats{}, &flow.Scratch{})
+		checkShortPaths(t, &cf, a, r, limit)
 	})
 }

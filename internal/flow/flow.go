@@ -54,12 +54,17 @@
 //
 // Augmentation stops as soon as the flow value reaches the query's limit
 // (the algorithm only ever asks "is κ(u,v) ≥ k?"), which keeps each test in
-// O(min(n^1/2, k) · m) in the spirit of Even–Tarjan.
+// O(min(n^1/2, k) · m) in the spirit of Even–Tarjan. A query that stops
+// at its limit may leave a unit of flow circling through vertices that no
+// source-to-sink path uses, so prev and next can form a cycle (fuzz seed
+// 2b475ea561adcebc of FuzzMinVertexCutLarge). The value and the cut are
+// unaffected, but a caller that walks next to decompose the flow into
+// paths must handle such a cycle.
 //
 // # Excluded vertices
 //
 // Exclude takes a vertex set R out of every later query, which then runs
-// on G − R (GLOBAL-CUT*'s phase 2 tests pairs in SC − R). Each level
+// on G − R (GLOBAL-CUT*'s phase 2 tests pairs in G − R). Each level
 // generation stamps the split nodes of R before its search starts, so R
 // costs O(|R|) per search and nothing per arc, and no arc array changes.
 //

@@ -24,12 +24,13 @@ func benchGraph(n int, p float64, seed int64) *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
-// BenchmarkCompute measures certificate construction, paid once per
-// GLOBAL-CUT call on every component. The
-// decomposition pass meets each of the 42k edges once whatever k is; what
-// still grows with k is building the SC graph from the edges it keeps
-// (about 10k at k=5, 34k at k=20 and 42k at k=30), so time tracks the
-// certificate's size, not k passes over the whole graph.
+// BenchmarkCompute measures certificate construction with SC, which VCCE
+// pays once per GLOBAL-CUT call; GLOBAL-CUT* builds only the forests, and
+// only after its first phase-1 test passes. The decomposition pass meets
+// each of the 42k edges once whatever k is; what still grows with k is
+// building the SC graph from the edges it keeps (about 10k at k=5, 34k at
+// k=20 and 42k at k=30), so time tracks the certificate's size, not k
+// passes over the whole graph.
 func BenchmarkCompute(b *testing.B) {
 	g := benchGraph(2000, 0.02, 1)
 	for _, k := range []int{5, 20, 30} {

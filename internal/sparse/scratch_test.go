@@ -50,14 +50,24 @@ func TestComputeScratchMatchesCompute(t *testing.T) {
 // With a warmed-up Scratch, the only remaining allocations are the SC
 // graph struct and the Certificate struct — the bucket queue, certificate
 // edge list, SC's CSR arrays, union-find, and group member storage must
-// all be reused.
+// all be reused. ForestsScratch, which builds no SC, allocates only the
+// Certificate struct.
 func TestComputeScratchSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomConnectedGraph(200, 0.08, rng)
-	var s Scratch
-	ComputeScratch(g, 4, &s) // warm
-	allocs := testing.AllocsPerRun(50, func() { ComputeScratch(g, 4, &s) })
-	if allocs > 2 {
-		t.Fatalf("warm ComputeScratch allocates %.1f times per run, want <= 2", allocs)
+	for _, tc := range []struct {
+		name  string
+		build func(*Scratch) *Certificate
+		max   float64
+	}{
+		{"ComputeScratch", func(s *Scratch) *Certificate { return ComputeScratch(g, 4, s) }, 2},
+		{"ForestsScratch", func(s *Scratch) *Certificate { return ForestsScratch(g, 4, s) }, 1},
+	} {
+		var s Scratch
+		tc.build(&s) // warm
+		allocs := testing.AllocsPerRun(50, func() { tc.build(&s) })
+		if allocs > tc.max {
+			t.Fatalf("warm %s allocates %.1f times per run, want <= %.0f", tc.name, allocs, tc.max)
+		}
 	}
 }

@@ -9,9 +9,12 @@
 // inside SC. Consequently removing any vertex set S with |S| < k splits SC
 // and G into identical vertex partitions, so a (<k)-cut found on SC is a
 // (<k)-cut of G, and local connectivities below k, and the source-closest
-// minimum cuts below k, agree between the two graphs. GLOBAL-CUT therefore
-// may run any flow test on either graph: GLOBAL-CUT* runs its first
-// phase-1 test on G, before SC exists, and the rest on SC.
+// minimum cuts below k, agree between the two graphs. The same holds after
+// removing a vertex set R from both, for cuts of fewer than k − |R|
+// vertices. GLOBAL-CUT may therefore run any flow test on either graph:
+// VCCE runs its flows on SC, as the paper does (ComputeScratch), and
+// GLOBAL-CUT* runs every flow on G and builds only the forests
+// (ForestsScratch), for phase 2's terminals and the side groups.
 //
 // CKT define SC as F_1 ∪ ... ∪ F_k, where each F_i is a scan-first search
 // forest of G - F_1 - ... - F_{i-1}. Running k searches costs O(k·m);
@@ -43,8 +46,10 @@ import "kvcc/graph"
 // of its construction that the sweep optimizations reuse.
 type Certificate struct {
 	// SC is the certificate: same vertex ids and labels as the input graph,
-	// edge set F_1 ∪ ... ∪ F_k.
+	// edge set F_1 ∪ ... ∪ F_k. ForestsScratch leaves it nil.
 	SC *graph.Graph
+	// Edges are the edges of F_1 ∪ ... ∪ F_k, each once, in scan order.
+	Edges [][2]int
 	// SideGroups are the vertex sets of the connected components of the
 	// k-th scan-first forest F_k that have more than k vertices. Any two
 	// vertices in one side-group are k-locally connected (Theorem 10), so
@@ -54,29 +59,29 @@ type Certificate struct {
 	GroupID []int
 }
 
-// Scratch carries the construction buffers of ComputeScratch across
-// calls: the labels and bucket lists of the forest decomposition, the
-// certificate edges with their forest indices, the certificate graph's
-// CSR arrays, and the union-find plus flat member storage behind the side
-// groups. The enumeration recursion computes one certificate per
-// component at every level, so reusing one Scratch per worker removes
-// every per-call allocation except two small structs. The zero value is
-// ready to use; a Scratch is not safe for concurrent use.
+// Scratch carries the construction buffers of ForestsScratch and
+// ComputeScratch across calls: the labels and bucket lists of the forest
+// decomposition, the certificate edges with their forest indices, the
+// certificate graph's CSR arrays, and the union-find plus flat member
+// storage behind the side groups. The enumeration recursion builds one
+// certificate per component at every level, so reusing one Scratch per
+// worker removes every per-call allocation but the returned structs. The
+// zero value is ready to use; a Scratch is not safe for concurrent use.
 type Scratch struct {
-	nodes     []bucketNode
-	heads     []int32
-	certEdges [][2]int
-	forest    []int32
+	nodes  []bucketNode
+	heads  []int32
+	forest []int32
 
-	// fill, groupID, members and groups back the returned Certificate,
-	// which therefore stays valid only until the next ComputeScratch call
+	// certEdges, fill, groupID, members and groups back the returned
+	// Certificate, which therefore stays valid only until the next call
 	// with this Scratch.
-	fill    graph.FillScratch
-	parent  []int
-	count   []int
-	groupID []int
-	members []int
-	groups  [][]int
+	certEdges [][2]int
+	fill      graph.FillScratch
+	parent    []int
+	count     []int
+	groupID   []int
+	members   []int
+	groups    [][]int
 }
 
 // bucketNode is one vertex's entry in the bucket queue: its capped label
@@ -97,32 +102,34 @@ func growInts(s []int, n int) []int {
 // Compute builds the sparse certificate of g for parameter k with
 // one-shot buffers; see ComputeScratch.
 func Compute(g *graph.Graph, k int) *Certificate {
-	return ComputeScratch(g, k, nil)
+	return ComputeScratch(g, k, &Scratch{})
 }
 
-// ComputeScratch builds the sparse certificate of g for parameter k,
-// reusing s's buffers (a nil s uses fresh ones). One Nagamochi–Ibaraki
-// scan of g (see the package comment) decomposes its edges into the
-// forests F_1..F_k, each a scan-first forest of G - F_1 - ... - F_{i-1};
-// the certificate is their union and the side groups come from F_k. The
-// pass meets each edge once, from whichever endpoint is scanned first, so
-// the cost is O(n+m) whatever k is, and with a warmed-up Scratch nothing
-// but the Certificate and SC structs is allocated.
-//
-// The returned Certificate is backed by s: SC's adjacency arrays,
-// SideGroups and GroupID are valid only until the next ComputeScratch
-// call with the same s. SC shares g's label table.
+// ComputeScratch builds the sparse certificate of g for parameter k: the
+// forests of ForestsScratch plus SC, the graph on their edges, built in
+// s's arrays and sharing g's label table. With a warmed-up Scratch it
+// allocates only the Certificate and SC structs.
 func ComputeScratch(g *graph.Graph, k int, s *Scratch) *Certificate {
+	cert := ForestsScratch(g, k, s)
+	cert.SC = g.SpanningSubgraphScratch(cert.Edges, &s.fill)
+	return cert
+}
+
+// ForestsScratch decomposes g's edges into the forests F_1..F_k, each a
+// scan-first forest of G - F_1 - ... - F_{i-1}, by one Nagamochi–Ibaraki
+// scan (see the package comment), and returns their edges and the side
+// groups of F_k, with SC left nil. The pass meets each edge once, from
+// whichever endpoint is scanned first, so the cost is O(n+m) whatever k
+// is, and with a warmed-up Scratch only the Certificate struct is
+// allocated. The returned Certificate is backed by s and valid only until
+// the next call with s.
+func ForestsScratch(g *graph.Graph, k int, s *Scratch) *Certificate {
 	if k < 1 {
 		panic("sparse: k must be >= 1")
 	}
-	if s == nil {
-		s = &Scratch{}
-	}
 	decompose(g, k, s)
-	sc := g.SpanningSubgraphScratch(s.certEdges, &s.fill)
 	groups, groupID := sideGroups(g.NumVertices(), k, s)
-	return &Certificate{SC: sc, SideGroups: groups, GroupID: groupID}
+	return &Certificate{Edges: s.certEdges, SideGroups: groups, GroupID: groupID}
 }
 
 // decompose runs the capped Nagamochi–Ibaraki scan of g, leaving the

@@ -80,8 +80,9 @@ func TestCertificateSmallGraphExact(t *testing.T) {
 // Core CKT property: a vertex set of fewer than k vertices splits SC and G
 // into the same parts. So for every k and every non-adjacent pair a flow
 // at bound k gives the same verdict on G and on SC, and below k the same
-// source-closest cut: GLOBAL-CUT* runs its first phase-1 test on G and
-// the rest on SC.
+// source-closest cut. The same holds on G − R and SC − R at limit
+// k − |R|, which phase 2 of GLOBAL-CUT* relies on, so each k also draws
+// one R of 1..k−1 vertices. VCCE runs its flows on SC, GLOBAL-CUT* on G.
 func TestCertificatePreservesCappedConnectivity(t *testing.T) {
 	pairs, below := 0, 0
 	for seed := int64(0); seed < 400; seed++ {
@@ -91,20 +92,29 @@ func TestCertificatePreservesCappedConnectivity(t *testing.T) {
 		for k := 1; k <= 5; k++ {
 			cert := Compute(g, k)
 			inG, inSC := flow.NewNetwork(g, k), flow.NewNetwork(cert.SC, k)
-			for u := 0; u < n; u++ {
-				for v := u + 1; v < n; v++ {
-					if g.HasEdge(u, v) {
-						continue
-					}
-					pairs++
-					cutG, cG, okG := inG.MinVertexCut(u, v)
-					cutSC, cSC, okSC := inSC.MinVertexCut(u, v)
-					if okG != okSC || cG != cSC || !slices.Equal(cutG, cutSC) {
-						t.Fatalf("seed %d k %d pair (%d,%d): G gives cut %v (κ %d, ≥k %v), SC gives %v (κ %d, ≥k %v)",
-							seed, k, u, v, cutG, cG, okG, cutSC, cSC, okSC)
-					}
-					if !okG {
-						below++
+			rs := [][]int{nil}
+			if k > 1 {
+				rs = append(rs, rng.Perm(n)[:1+rng.Intn(k-1)])
+			}
+			for _, r := range rs {
+				inG.Exclude(r)
+				inSC.Exclude(r)
+				limit := k - len(r)
+				for u := 0; u < n; u++ {
+					for v := u + 1; v < n; v++ {
+						if g.HasEdge(u, v) || slices.Contains(r, u) || slices.Contains(r, v) {
+							continue
+						}
+						pairs++
+						cutG, cG, okG := inG.MinVertexCutLimit(u, v, limit)
+						cutSC, cSC, okSC := inSC.MinVertexCutLimit(u, v, limit)
+						if okG != okSC || cG != cSC || !slices.Equal(cutG, cutSC) {
+							t.Fatalf("seed %d k %d R %v pair (%d,%d): G gives cut %v (κ %d, ≥limit %v), SC gives %v (κ %d, ≥limit %v)",
+								seed, k, r, u, v, cutG, cG, okG, cutSC, cSC, okSC)
+						}
+						if !okG {
+							below++
+						}
 					}
 				}
 			}
